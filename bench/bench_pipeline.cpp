@@ -10,6 +10,9 @@
 //                              process_batch: the batch-first path. The
 //                              acceptance bar is ≥ 2x BM_CallbackPath
 //                              items/s at B ≥ 256.
+//   * BM_TableBatchPath/owned:<N> — BM_BatchPath at B=256 against N
+//                              owned prefixes (1k / 100k / 1M), with a
+//                              mixed-length stream over the table's space.
 //   * BM_DetectionBatch/<B>  — process_batch alone (no hub), isolating
 //                              the detection-side amortization.
 //   * BM_ShardedInline/<N>   — inline hash dispatch across N shards.
@@ -17,7 +20,9 @@
 //                              iteration. Multi-shard scaling.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -107,6 +112,92 @@ void BM_BatchPath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch_size));
 }
 BENCHMARK(BM_BatchPath)->Arg(64)->Arg(256)->Arg(1024);
+
+/// BM_BatchPath's hub -> process_batch path at B=256 against production-
+/// sized ownership tables: `owned` prefixes of mixed length (v4 /16-/24,
+/// a quarter v6 /32-/48) across 100 tenants. The stream keeps the bursts
+/// of 8 but draws each burst's prefix from the table's own space — an
+/// owned entry exactly, a more-specific of one (up to 4 bits longer) or
+/// a less-specific (up to 4 bits shorter) — half the time, and from
+/// random space of the same length mix otherwise; 1 in 16 bursts is a
+/// hijack. Read owned:100000 against owned:1000 for how detection holds
+/// up once the table outgrows the cache.
+struct OwnedWorkload {
+  std::shared_ptr<const core::OwnershipTable> table;
+  std::vector<feeds::Observation> stream;
+};
+
+const OwnedWorkload& owned_workload(std::size_t owned) {
+  // One table at a time: google-benchmark re-enters a bench once per
+  // iteration-count probe, and a 1M-prefix table takes seconds to build.
+  static std::size_t cached_size = 0;
+  static OwnedWorkload cached;
+  if (cached_size == owned) return cached;
+  cached = {};
+  Rng rng(owned);
+  const auto mixed_prefix = [&rng] {
+    if (rng.chance(0.25)) {
+      return net::Prefix(net::IpAddress::v6(rng.next_u64(), 0),
+                         static_cast<int>(rng.uniform_int(32, 48)));
+    }
+    return net::Prefix(net::IpAddress::v4(static_cast<std::uint32_t>(rng.next_u64())),
+                       static_cast<int>(rng.uniform_int(16, 24)));
+  };
+  std::vector<core::OwnedPrefix> entries(owned);
+  std::vector<core::TenantInfo> tenants(100);
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    tenants[t].id = static_cast<core::TenantId>(t);
+    tenants[t].name = "tenant" + std::to_string(t);
+  }
+  for (std::size_t i = 0; i < owned; ++i) {
+    entries[i].prefix = mixed_prefix();
+    entries[i].legitimate_origins.insert(65001);
+    entries[i].tenant = static_cast<core::TenantId>(i % tenants.size());
+  }
+  constexpr int kBursts = 8192;
+  constexpr int kBurstLen = 8;
+  cached.stream.reserve(kBursts * kBurstLen);
+  for (int g = 0; g < kBursts; ++g) {
+    feeds::Observation obs;
+    obs.type = feeds::ObservationType::kAnnouncement;
+    obs.source = (g % 3 == 0) ? "ris-live" : (g % 3 == 1) ? "bgpmon" : "periscope";
+    obs.vantage = 9;
+    if (rng.chance(0.5)) {
+      const net::Prefix& base = entries[rng.uniform_u64(owned)].prefix;
+      const int len = std::clamp(base.length() + static_cast<int>(rng.uniform_int(-4, 4)),
+                                 0, base.is_v4() ? 32 : 128);
+      obs.prefix = net::Prefix(base.address(), len);
+    } else {
+      obs.prefix = mixed_prefix();
+    }
+    obs.attrs.as_path = bgp::AsPath({9, 3356, (g % 16 == 0) ? 666u : 65001u});
+    obs.event_time = SimTime::at_seconds(g);
+    obs.delivered_at = SimTime::at_seconds(g + 5);
+    for (int i = 0; i < kBurstLen; ++i) cached.stream.push_back(obs);
+  }
+  cached.table =
+      std::make_shared<const core::OwnershipTable>(std::move(entries), std::move(tenants));
+  cached_size = owned;
+  return cached;
+}
+
+void BM_TableBatchPath(benchmark::State& state) {
+  const OwnedWorkload& work = owned_workload(static_cast<std::size_t>(state.range(0)));
+  core::DetectionService detector(work.table);
+  feeds::MonitorHub hub;
+  detector.attach(hub);
+  const auto& stream = work.stream;
+  constexpr std::size_t kBatch = 256;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    hub.publish_batch({stream.data() + i, kBatch});
+    i += kBatch;
+    if (i >= stream.size()) i = 0;
+  }
+  benchmark::DoNotOptimize(detector.observations_matched());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_TableBatchPath)->ArgNames({"owned"})->Arg(1000)->Arg(100000)->Arg(1000000);
 
 void BM_DetectionBatch(benchmark::State& state) {
   const core::Config config = make_config();

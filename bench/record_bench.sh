@@ -5,8 +5,10 @@
 # where <n> auto-increments per output directory. CI runs this and gates
 # on bench/check_bench_regression.py. Every bench in those binaries is
 # recorded automatically — the PR-5 additions (BM_TrieLpmLookupV6*,
-# BM_MrtDecodeMpReach) ride along with no changes here; the GATED subset
-# lives in .github/workflows/ci.yml (--benchmark flags).
+# BM_MrtDecodeMpReach) and the owned-table batch path
+# (BM_TableBatchPath/owned:{1000,100000,1000000}, in bench_pipeline) ride
+# along with no changes here; the GATED subset lives in
+# .github/workflows/ci.yml (--benchmark flags).
 #
 # Usage: bench/record_bench.sh [build_dir] [out_dir]
 #   BENCH_MIN_TIME  google-benchmark --benchmark_min_time value

@@ -11,9 +11,8 @@ DetectionService::DetectionService(const Config& config, DetectionOptions option
 
 void DetectionService::set_ownership(std::shared_ptr<const OwnershipTable> table) {
   table_ = std::move(table);
-  // The prescreen SoA cache self-invalidates (it keys on the table
-  // version); the per-tenant cells need explicit re-registration for
-  // tenants the new snapshot introduced.
+  // The per-tenant cells need explicit re-registration for tenants the
+  // new snapshot introduced.
   if (tenant_registry_ != nullptr) set_tenant_metrics(tenant_registry_);
 }
 
@@ -44,9 +43,8 @@ void DetectionService::on_alert(AlertHandler handler) {
 }
 
 std::optional<DetectionService::Classification> DetectionService::classify(
-    const feeds::Observation& obs) const {
+    const feeds::Observation& obs, OwnershipRef ref) const {
   if (obs.type == feeds::ObservationType::kWithdrawal) return std::nullopt;
-  const OwnershipRef ref = table_->match(obs.prefix);
   if (!ref) {
     // Outside owned space: only the (optional) RPKI signal applies.
     if (options_.roa_table != nullptr &&
@@ -98,97 +96,40 @@ std::optional<DetectionService::Classification> DetectionService::classify(
   return std::nullopt;
 }
 
-namespace {
-// Prescreen applicability bounds. Below kMinBatch the SoA extraction pass
-// costs more than the trie lookups it saves; above kMaxOwned the
-// O(owned × batch) linear sweep loses to the O(log) trie. Both limits are
-// heuristics tuned on bench_pipeline, not correctness lines — the scalar
-// path handles everything.
-constexpr std::size_t kPrescreenMinBatch = 16;
-constexpr std::size_t kPrescreenMaxOwned = 16;
-// Family byte that matches nothing (families are 4 or 6): marks
-// withdrawals, which classify() drops unconditionally.
-constexpr std::uint8_t kFamNever = 0xFF;
-}  // namespace
-
-bool DetectionService::prescreen(std::span<const feeds::Observation> batch) {
-  if (batch.size() < kPrescreenMinBatch) return false;
-  if (options_.roa_table != nullptr) return false;  // non-owned is classifiable
-  if (table_->owned().size() > kPrescreenMaxOwned) return false;
-
-  // Snapshot the owned set in SoA word form (rebuilt only when the
-  // ownership snapshot itself changed — tables are immutable, so the
-  // version compare is exact, including reloads that keep the count).
-  if (table_->version() != owned_snapshot_version_) {
-    owned_snapshot_version_ = table_->version();
-    owned_hi_.clear();
-    owned_lo_.clear();
-    owned_len_.clear();
-    owned_fam_.clear();
-    for (const OwnedPrefix& owned : table_->owned()) {
-      const auto [hi, lo] = owned.prefix.address().words();
-      owned_hi_.push_back(hi);
-      owned_lo_.push_back(lo);
-      owned_len_.push_back(static_cast<std::uint64_t>(owned.prefix.length()));
-      owned_fam_.push_back(static_cast<std::uint8_t>(owned.prefix.family()));
-    }
-  }
-
-  // Extraction pass: pull each observation's prefix into parallel word
-  // arrays so the compare loop below streams plain uint64 lanes instead
-  // of chasing Observation objects.
-  const std::size_t n = batch.size();
-  scr_hi_.resize(n);
-  scr_lo_.resize(n);
-  scr_len_.resize(n);
-  scr_fam_.resize(n);
-  scr_rel_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const feeds::Observation& obs = batch[i];
-    const auto [hi, lo] = obs.prefix.address().words();
-    scr_hi_[i] = hi;
-    scr_lo_[i] = lo;
-    scr_len_[i] = static_cast<std::uint64_t>(obs.prefix.length());
-    scr_fam_[i] = obs.type == feeds::ObservationType::kWithdrawal
-                      ? kFamNever
-                      : static_cast<std::uint8_t>(obs.prefix.family());
-  }
-
-  // Compare pass: observation i overlaps owned prefix o iff their
-  // addresses agree on the first min(len_i, len_o) bits (both stored
-  // canonically, so a masked XOR decides it) and the families match.
-  // Branchless mask selects + per-lane variable shifts — the loop body
-  // auto-vectorizes over the batch (vpsllvq/vpcmpeqq on AVX2).
-  for (std::size_t k = 0; k < owned_hi_.size(); ++k) {
-    const std::uint64_t ohi = owned_hi_[k];
-    const std::uint64_t olo = owned_lo_[k];
-    const std::uint64_t olen = owned_len_[k];
-    const std::uint8_t ofam = owned_fam_[k];
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t m = scr_len_[i] < olen ? scr_len_[i] : olen;
-      // Top-m-bits masks for the two address words. The double shift
-      // keeps m == 0 defined (yields 0); the clamps keep the shift
-      // counts in range for m in [64, 128].
-      const std::uint64_t mask_hi =
-          m >= 64 ? ~0ULL : (~0ULL << 1) << (63 - m);
-      const std::uint64_t mc = m < 64 ? 64 : m;
-      const std::uint64_t mask_lo =
-          mc >= 128 ? ~0ULL : (~0ULL << 1) << (127 - mc);
-      const std::uint64_t diff = ((scr_hi_[i] ^ ohi) & mask_hi) |
-                                 ((scr_lo_[i] ^ olo) & mask_lo);
-      scr_rel_[i] |=
-          static_cast<std::uint8_t>(diff == 0 && scr_fam_[i] == ofam);
-    }
-  }
-  return true;
-}
-
 void DetectionService::process_batch(std::span<const feeds::Observation> batch) {
+  // A classification owes an ownership lookup when it is of an
+  // announcement whose prefix differs from the last looked-up one
+  // (withdrawals never classify). On a table large enough that lookups
+  // miss cache, the batch's lookups are resolved up front in one
+  // interleaved match_batch; the loop below replays the same rule on its
+  // memo misses to pair them with refs_ (a memo hit never owes one).
+  // Smaller tables look up inline.
+  const auto owes_lookup = [](const feeds::Observation& obs,
+                              const net::Prefix*& last) {
+    if (obs.type == feeds::ObservationType::kWithdrawal) return false;
+    if (last != nullptr && *last == obs.prefix) return false;
+    last = &obs.prefix;
+    return true;
+  };
+  const bool up_front = table_->interleaves();
+  const net::Prefix* last_lookup = nullptr;
+  if (up_front) {
+    lookups_.clear();
+    for (const feeds::Observation& obs : batch) {
+      if (owes_lookup(obs, last_lookup)) lookups_.push_back(obs.prefix);
+    }
+    refs_.resize(lookups_.size());
+    table_->match_batch(lookups_, refs_);
+    last_lookup = nullptr;
+  }
+  std::size_t next_ref = 0;
+  OwnershipRef ref;
+
   // Classification is a pure function of (type, prefix, origin, first-hop
   // neighbor) — everything else in the observation only matters once an
   // alert is materialized. Real batches (an MRT window, a stream message
   // burst) cluster repeats of the same route, so memoizing the previous
-  // classification skips the config-trie walk, and memoizing the previous
+  // classification skips the classify call, and memoizing the previous
   // dedup record skips the hash probe. Both caches are POD and live on
   // the stack: the zero-allocation steady state of process() carries over
   // verbatim (enforced by tests/detection_alloc_test.cpp).
@@ -203,32 +144,23 @@ void DetectionService::process_batch(std::span<const feeds::Observation> batch) 
   AlertKey last_key{};
   HijackRecord* last_record = nullptr;  // stable: unordered_map never moves values
 
-  // When the prescreen ran, scr_rel_[i] == 0 proves classify() would
-  // return nullopt (no owned overlap, no RPKI table, or a withdrawal) —
-  // those observations skip classification entirely and never touch the
-  // memo, so the memo only ever caches keys that went through classify().
-  const bool prescreened = prescreen(batch);
-
   // Telemetry tallies stay batch-local; the shared cells absorb one
   // relaxed add each at the end. The delay histogram is the exception
   // (fresh alerts are rare), recorded inline per alert.
-  std::uint64_t tally_skipped = 0;
   std::uint64_t tally_memo_hits = 0;
   std::uint64_t tally_dedup_hits = 0;
   std::uint64_t tally_alerts = 0;
 
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const feeds::Observation& obs = batch[i];
+  for (const feeds::Observation& obs : batch) {
     ++processed_;
-    if (prescreened && scr_rel_[i] == 0) {
-      ++tally_skipped;
-      continue;
-    }
     const bgp::Asn origin = obs.origin_as();
     const bgp::Asn neighbor = obs.attrs.as_path.origin_neighbor();
     if (!memo.valid || memo.type != obs.type || memo.prefix != obs.prefix ||
         memo.origin != origin || memo.neighbor != neighbor) {
-      memo.result = classify(obs);
+      if (owes_lookup(obs, last_lookup)) {
+        ref = up_front ? refs_[next_ref++] : table_->match(obs.prefix);
+      }
+      memo.result = classify(obs, ref);
       memo.valid = true;
       memo.type = obs.type;
       memo.prefix = obs.prefix;
@@ -299,7 +231,6 @@ void DetectionService::process_batch(std::span<const feeds::Observation> batch) 
 
   if (metrics_.enabled()) {
     metrics_.observations->add(batch.size());
-    if (tally_skipped != 0) metrics_.prescreen_skipped->add(tally_skipped);
     if (tally_memo_hits != 0) metrics_.memo_hits->add(tally_memo_hits);
     if (tally_dedup_hits != 0) metrics_.dedup_hits->add(tally_dedup_hits);
     if (tally_alerts != 0) metrics_.alerts->add(tally_alerts);

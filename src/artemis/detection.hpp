@@ -77,11 +77,15 @@ class DetectionService {
 
   /// Feeds a whole batch. Equivalent to calling process() on each element
   /// in order (the batch-vs-loop oracle test enforces this), but amortizes
-  /// the work: consecutive observations with the same (type, prefix,
-  /// origin, first-hop) reuse the previous classification — skipping the
-  /// config-trie lookup — and consecutive observations of the same hijack
-  /// reuse the previous dedup-record probe. Steady state (already-seen
-  /// observations) performs zero heap allocations, same as process().
+  /// the work: a run of announcements of one prefix costs one ownership
+  /// lookup (on a table where lookups miss cache — see
+  /// OwnershipTable::interleaves — the batch's lookups are resolved up
+  /// front in one match_batch call), consecutive observations with the
+  /// same (type, prefix, origin, first-hop) reuse the previous
+  /// classification, and
+  /// consecutive observations of the same hijack reuse the previous
+  /// dedup-record probe. Steady state (already-seen observations)
+  /// performs zero heap allocations, same as process().
   void process_batch(std::span<const feeds::Observation> batch);
 
   /// Registers an alert consumer (the mitigation service, a logger, ...).
@@ -134,19 +138,11 @@ class DetectionService {
     TenantId tenant = kDefaultTenantId;
   };
 
-  /// Classifies an observation against config; nullopt if legitimate or
-  /// unrelated to owned space.
-  std::optional<Classification> classify(const feeds::Observation& obs) const;
-
-  /// SIMD-friendly batch prescreen: fills scr_rel_[i] with "observation i
-  /// overlaps some owned prefix" for the whole batch in one vectorizable
-  /// pass (SoA prefix words, branchless masked-XOR compares against each
-  /// owned prefix). Returns false — leaving the batch to the scalar path
-  /// — when it cannot be both correct and profitable: an RPKI table makes
-  /// non-overlapping observations classifiable, a large owned set makes
-  /// the O(owned × batch) sweep lose to the trie, and a tiny batch
-  /// cannot amortize the extraction pass.
-  bool prescreen(std::span<const feeds::Observation> batch);
+  /// Classifies an observation given its ownership match (`ref`, the
+  /// table's match() of obs.prefix); nullopt if legitimate or unrelated
+  /// to owned space.
+  std::optional<Classification> classify(const feeds::Observation& obs,
+                                         OwnershipRef ref) const;
 
   /// The immutable ownership snapshot (shared across shards). Swapped
   /// only at batch boundaries via set_ownership; within one batch every
@@ -169,17 +165,11 @@ class DetectionService {
   telemetry::MetricsRegistry* tenant_registry_ = nullptr;
   std::vector<telemetry::Counter*> tenant_alert_cells_;
 
-  // Prescreen scratch (SoA over the current batch) and the owned-prefix
-  // snapshot it compares against. Members, not locals: their capacity
-  // survives across batches, so the steady state stays allocation-free.
-  std::vector<std::uint64_t> scr_hi_, scr_lo_, scr_len_;
-  std::vector<std::uint8_t> scr_fam_;
-  std::vector<std::uint8_t> scr_rel_;  ///< 1 = may overlap owned space
-  std::vector<std::uint64_t> owned_hi_, owned_lo_, owned_len_;
-  std::vector<std::uint8_t> owned_fam_;
-  /// OwnershipTable::version() the SoA snapshot was built from (0 =
-  /// never built) — one integer compare detects a reload.
-  std::uint64_t owned_snapshot_version_ = 0;
+  // Per-batch ownership lookups (the prefixes to match, then their
+  // refs). Members, not locals: their capacity survives across batches,
+  // so the steady state stays allocation-free.
+  std::vector<net::Prefix> lookups_;
+  std::vector<OwnershipRef> refs_;
 };
 
 }  // namespace artemis::core

@@ -5,11 +5,12 @@
 // ONE immutable snapshot:
 //
 //   * OwnershipTable — a frozen, arena-trie-backed snapshot of every
-//     owned prefix across every tenant. Lookups ride the same
-//     path-compressed trie the RIBs use (~40 ns at internet scale), so
-//     lookup cost is independent of the tenant count. Immutable by
-//     construction: build it (from a Config), publish it, never touch
-//     it again — any thread may read it without synchronization.
+//     owned prefix across every tenant. A lookup is one descent of the
+//     same path-compressed trie the RIBs use, so its cost is independent
+//     of the tenant count; a batch of lookups interleaves its descents
+//     once the table outgrows the cache. Immutable by construction:
+//     build it (from a Config), publish it, never touch it again — any
+//     thread may read it without synchronization.
 //
 //   * OwnershipRef — the POD result of a lookup: (owned-entry index,
 //     tenant id) instead of a bare OwnedPrefix*. Refs are only
@@ -24,9 +25,11 @@
 //     re-replays, no in-flight batch is perturbed.
 //
 // Overlapping ownership across tenants resolves to a single winner per
-// observation (most-specific covering entry, insertion order breaking
-// ties among covered entries) — the same semantics the single-operator
-// Config::match had, now tenant-tagged.
+// observation: the most-specific covering entry or, when nothing covers
+// the observed prefix, the first entry it covers in address order (the
+// trie's depth-first order: lower address first, and at one address the
+// shorter prefix first), tagged with its tenant. Of two entries for the
+// same prefix the later one wins.
 #pragma once
 
 #include <atomic>
@@ -34,6 +37,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -119,12 +123,29 @@ class OwnershipTable {
   OwnershipTable(const OwnershipTable&) = delete;
   OwnershipTable& operator=(const OwnershipTable&) = delete;
 
-  /// The most specific owned prefix overlapping `p` (either direction:
-  /// `p` inside an owned prefix — classic / sub-prefix hijack — or `p`
-  /// strictly covering an owned prefix — super-prefix announcement), or
-  /// an invalid ref. Same semantics as the single-operator Config::match
-  /// this replaces, with the winner's tenant tagged on.
+  /// The owned entry overlapping `p`, or an invalid ref: the most
+  /// specific owned prefix covering `p` (classic / sub-prefix hijack),
+  /// else the first owned prefix `p` covers in address order
+  /// (super-prefix announcement), with the winner's tenant tagged on.
   OwnershipRef match(const net::Prefix& p) const;
+
+  /// out[i] = match(prefixes[i]) for every i; `out` must be at least as
+  /// long as `prefixes`. When interleaves(), up to kBatchLanes descents
+  /// run interleaved, each prefetching its next access; otherwise this is
+  /// the plain loop.
+  void match_batch(std::span<const net::Prefix> prefixes,
+                   std::span<OwnershipRef> out) const;
+
+  /// True above kInterleaveMinEntries owned entries, where a descent
+  /// misses cache and match_batch beats a loop of match().
+  bool interleaves() const { return owned_.size() > kInterleaveMinEntries; }
+
+  /// Descents match_batch keeps in flight.
+  static constexpr std::size_t kBatchLanes = 16;
+  /// Table size (owned entries) above which match_batch interleaves.
+  /// Below it the trie and entries stay cache-resident, and interleaving
+  /// only adds bookkeeping.
+  static constexpr std::size_t kInterleaveMinEntries = 4096;
 
   /// The entry a valid ref points at. No bounds check — a ref from a
   /// different table is the caller's bug.
@@ -151,7 +172,7 @@ class OwnershipTable {
 
   /// Monotonic snapshot identity (process-wide): every built table gets
   /// a fresh version, so "did the snapshot change?" is one integer
-  /// compare — the detection prescreen keys its owned-set cache on this.
+  /// compare.
   std::uint64_t version() const { return version_; }
 
  private:

@@ -4,8 +4,10 @@
 //
 // This is the lookup structure behind every RIB and behind the detection
 // service's owned-prefix matching: longest-prefix match answers "which of
-// my routes forwards this address", and subtree iteration answers "which
-// observed routes fall inside an owned prefix" (sub-prefix hijacks).
+// my routes forwards this address", subtree iteration answers "which
+// observed routes fall inside an owned prefix" (sub-prefix hijacks), and
+// the overlap query answers "which owned prefix does this route touch" in
+// a single descent, resumable step by step so a batch can interleave many.
 //
 // Layout
 // ------
@@ -46,8 +48,8 @@
 // family activates on its own node count, so a large v4 RIB with a
 // handful of v6 routes builds no v6 table.
 //
-// Zero-allocation invariant: find(), lookup(), lookup_covering() and the
-// visit_* walks never allocate. insert() allocates only when it creates
+// Zero-allocation invariant: find(), lookup(), lookup_covering(),
+// lookup_overlap() and the visit_* walks never allocate. insert() allocates only when it creates
 // nodes (at most two) or a fresh value slot; overwrites and re-inserts
 // after erase() reuse existing storage.
 #pragma once
@@ -219,6 +221,88 @@ class PrefixTrie {
   void visit_covered(const Prefix& p,
                      const std::function<void(const Prefix&, const T&)>& fn) const {
     visit_covered<const std::function<void(const Prefix&, const T&)>&>(p, fn);
+  }
+
+  /// One overlap descent in flight (see overlap_begin / overlap_step).
+  /// lookup_overlap() runs one to completion; a batched caller keeps
+  /// several and interleaves their steps, prefetching the address each
+  /// step returns, so independent descents overlap their cache misses.
+  class OverlapCursor;
+
+  /// The overlap query in one descent: the most-specific stored entry
+  /// covering `p` (lookup_covering's answer) or, when nothing covers `p`,
+  /// the first entry `p` covers in depth-first address order
+  /// (visit_covered's first visit); nullptr when nothing overlaps `p`.
+  const T* lookup_overlap(const Prefix& p) const {
+    OverlapCursor c;
+    overlap_begin(p, c);
+    while (overlap_step(c) != nullptr) {
+    }
+    return c.result();
+  }
+
+  /// Starts `c` on `p`. Returns the address its first step reads.
+  const void* overlap_begin(const Prefix& p, OverlapCursor& c) const {
+    const auto [hi, lo] = p.address().words();
+    c.hi_ = hi;
+    c.lo_ = lo;
+    c.len_ = static_cast<std::uint8_t>(p.length());
+    c.best_ = kNil;
+    c.result_ = nullptr;
+    if (const StrideTable* t = table_for(p.length(), p.is_v4())) {
+      c.slot_ = &t->slots[t->slot_of(hi)];
+      c.phase_ = OverlapCursor::Phase::kSlot;
+      return c.slot_;
+    }
+    c.next_ = root_index(p.family());
+    c.phase_ = OverlapCursor::Phase::kPath;
+    return &nodes_[c.next_];
+  }
+
+  /// Advances `c` by one dependent memory access: the stride slot, then
+  /// one path node per step, then the answer's value slot. Returns the
+  /// address the cursor touches next (worth prefetching), or nullptr once
+  /// c.result() is final.
+  const void* overlap_step(OverlapCursor& c) const {
+    using Phase = typename OverlapCursor::Phase;
+    switch (c.phase_) {
+      case Phase::kSlot: {
+        const Slot slot = *c.slot_;
+        c.next_ = slot.jump;
+        c.best_ = slot.best;
+        c.phase_ = Phase::kPath;
+        return &nodes_[c.next_];
+      }
+      case Phase::kPath: {
+        const Node& n = nodes_[c.next_];
+        const int len = c.len_;
+        const int m = common_bits(c.hi_, c.lo_, n.key_hi, n.key_lo);
+        if (n.len <= len && m >= n.len) {  // n covers the key
+          if (n.value != kNil) c.best_ = c.next_;
+          if (n.len < len) {
+            const std::uint32_t child = n.child[key_bit(c.hi_, c.lo_, n.len)];
+            if (child != kNil) {
+              c.next_ = child;
+              return &nodes_[child];
+            }
+            return overlap_finish(c);
+          }
+        } else if (n.len <= len || m < len) {
+          return overlap_finish(c);  // diverged: nothing below n overlaps
+        }
+        // n's subtree is exactly the covered set; it answers only when no
+        // covering entry exists, so a covering hit exits without entering.
+        if (c.best_ == kNil) c.best_ = first_valued(c.next_);
+        return overlap_finish(c);
+      }
+      case Phase::kValue:
+        c.result_ = &*values_[nodes_[c.best_].value];
+        c.phase_ = Phase::kDone;
+        return c.result_;
+      case Phase::kDone:
+        break;
+    }
+    return nullptr;
   }
 
   /// Visits all entries of both families.
@@ -565,6 +649,29 @@ class PrefixTrie {
     return best;
   }
 
+  /// Ends an overlap descent: on to the answer's value slot, or done.
+  const void* overlap_finish(OverlapCursor& c) const {
+    if (c.best_ == kNil) {
+      c.phase_ = OverlapCursor::Phase::kDone;
+      return nullptr;
+    }
+    c.phase_ = OverlapCursor::Phase::kValue;
+    return &nodes_[c.best_];
+  }
+
+  /// The first valued node of idx's subtree in visit_subtree order, or
+  /// kNil. Without erasures every valueless non-root node branches, so
+  /// this is one straight dive; dead subtrees left by erase() backtrack.
+  std::uint32_t first_valued(std::uint32_t idx) const {
+    const Node& n = nodes_[idx];
+    if (n.value != kNil) return idx;
+    for (const std::uint32_t c : n.child) {
+      if (c == kNil) continue;
+      if (const std::uint32_t hit = first_valued(c); hit != kNil) return hit;
+    }
+    return kNil;
+  }
+
   template <typename F>
   void visit_subtree(std::uint32_t idx, IpFamily family, F&& fn) const {
     const Node& n = nodes_[idx];
@@ -585,6 +692,25 @@ class PrefixTrie {
   FamilyState fam_[2];                      ///< [0] IPv4, [1] IPv6 cascade state
   bool tables_enabled_ = true;              ///< bench/test knob (see setter)
   std::size_t size_ = 0;
+};
+
+template <typename T>
+class PrefixTrie<T>::OverlapCursor {
+ public:
+  /// The answer, valid once overlap_step() has returned nullptr.
+  const T* result() const { return result_; }
+
+ private:
+  friend class PrefixTrie;
+  enum class Phase : std::uint8_t { kSlot, kPath, kValue, kDone };
+  std::uint64_t hi_ = 0;
+  std::uint64_t lo_ = 0;
+  const Slot* slot_ = nullptr;
+  const T* result_ = nullptr;
+  std::uint32_t next_ = kNil;  ///< node the next kPath step reads
+  std::uint32_t best_ = kNil;  ///< deepest valued node covering the key so far
+  std::uint8_t len_ = 0;
+  Phase phase_ = Phase::kDone;
 };
 
 }  // namespace artemis::net

@@ -294,9 +294,6 @@ DetectionCounters register_detection(MetricsRegistry& registry) {
   DetectionCounters c;
   c.observations = registry.counter("artemis_detection_observations_total",
                                     "Observations processed by detection");
-  c.prescreen_skipped =
-      registry.counter("artemis_detection_prescreen_skipped_total",
-                       "Observations rejected by the SoA prescreen");
   c.memo_hits = registry.counter("artemis_detection_memo_hits_total",
                                  "Classification memo hits within a batch");
   c.dedup_hits =

@@ -182,7 +182,6 @@ class MetricsRegistry {
 /// Detection hot path (one bundle per shard).
 struct DetectionCounters {
   Counter* observations = nullptr;      ///< observations processed
-  Counter* prescreen_skipped = nullptr; ///< prescreen-rejected observations
   Counter* memo_hits = nullptr;         ///< classification memo hits
   Counter* dedup_hits = nullptr;        ///< already-alerted suppressions
   Counter* alerts = nullptr;            ///< fresh alerts emitted

@@ -1,9 +1,10 @@
 // Asserts the detection hot path's zero-allocation invariant: once a
 // hijack has been seen (its record exists), re-processing matching or
 // non-matching observations performs no heap allocations at all — via
-// process(), process_batch(), the MonitorHub batch fan-out, the sharded
-// pipeline's inline dispatch, and the journal writer tap (recording to
-// disk while detecting).
+// process(), process_batch() (below and above the table size where the
+// batch's ownership lookups interleave), the MonitorHub batch fan-out,
+// the sharded pipeline's inline dispatch, and the journal writer tap
+// (recording to disk while detecting).
 //
 // The assertion works by replacing the global operator new/delete with
 // counting wrappers, which is why this test lives in its own binary (see
@@ -168,6 +169,51 @@ TEST(DetectionAllocTest, SteadyStateProcessBatchIsAllocationFree) {
 
   EXPECT_EQ(detector.observation_count(detector.alerts()[0].key()), 4u * 10001u);
   EXPECT_EQ(detector.observations_processed(), 9u * 10001u);
+}
+
+TEST(DetectionAllocTest, SteadyStateInterleavedLookupsAreAllocationFree) {
+  // A table above OwnershipTable::kInterleaveMinEntries, so the batch's
+  // lookups run interleaved: the lookup and ref scratch reach capacity
+  // while priming and never grow again.
+  const auto v4 = [](std::uint32_t addr, int len) {
+    return net::Prefix(net::IpAddress::v4(addr), len);
+  };
+  constexpr std::uint32_t kBase = 0x64400000;  // 100.64.0.0
+  Config config;
+  for (std::uint32_t i = 0; i <= OwnershipTable::kInterleaveMinEntries; ++i) {
+    OwnedPrefix owned;
+    owned.prefix = v4(kBase + (i << 8), 24);
+    owned.legitimate_origins.insert(65001);
+    config.add_owned(std::move(owned));
+  }
+  DetectionService detector(config);
+
+  // More distinct prefixes than lanes, so finished lanes take new queries:
+  // hijacks, sub- and super-prefixes, legitimate and unrelated routes.
+  std::vector<feeds::Observation> batch;
+  for (std::uint32_t i = 0; i < 48; ++i) {
+    const std::uint32_t block = kBase + (i << 12);  // a /20 of sixteen owned /24s
+    const auto add = [&](net::Prefix prefix, std::vector<bgp::Asn> path) {
+      batch.push_back(make_obs(prefix.to_string(), std::move(path), "ris-live", 100));
+    };
+    add(v4(block, 24), {9, 666});
+    add(v4(block, 24), {9, 666});
+    add(v4(block + 128, 25), {9, 666});
+    add(v4(block, 20), {9, 667});
+    add(v4(block, 24), {9, 100, 65001});
+    add(v4(0xCB000000u + (i << 8), 24), {9, 666});  // 203.0.i.0/24, unowned
+  }
+
+  detector.process_batch(batch);  // prime records and scratch capacity
+  ASSERT_EQ(detector.alerts().size(), 3u * 48u);
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) detector.process_batch(batch);
+  for (const auto& obs : batch) detector.process(obs);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state process_batch over an interleaved table allocated";
+  EXPECT_EQ(detector.alerts().size(), 3u * 48u);
 }
 
 TEST(DetectionAllocTest, OwnershipSwapKeepsSteadyStateAllocationFree) {

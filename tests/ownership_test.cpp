@@ -77,6 +77,26 @@ TEST(OwnershipTableTest, CrossTenantMostSpecificWins) {
   EXPECT_EQ(outside.tenant, provider);
 }
 
+TEST(OwnershipTableTest, SuperPrefixResolvesToFirstCoveredInAddressOrder) {
+  // Nothing covers 10.0.0.0/16; of the entries it covers, the lowest
+  // address wins, and at one address the shorter prefix — whatever order
+  // the config listed them in.
+  Config config;
+  const TenantId beta = config.add_tenant("beta");
+  const TenantId alpha = config.add_tenant("alpha");
+  config.add_owned(beta, make_owned("10.0.1.0/24", 64501));
+  config.add_owned(alpha, make_owned("10.0.0.128/25", 64502));
+  config.add_owned(beta, make_owned("10.0.0.0/24", 64503));
+  const auto table = config.build_table();
+
+  const auto hit = table->match(net::Prefix::must_parse("10.0.0.0/16"));
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(table->entry(hit).prefix, net::Prefix::must_parse("10.0.0.0/24"));
+  EXPECT_EQ(hit.tenant, beta);
+  const auto upper = table->match(net::Prefix::must_parse("10.0.0.128/25"));
+  EXPECT_EQ(upper.tenant, alpha);
+}
+
 TEST(OwnershipTableTest, PolicyFallsBackForUnknownTenant) {
   Config config;
   MitigationPolicy strict;

@@ -228,10 +228,12 @@ TEST(PipelineOracleTest, MemoizationRespectsTypeAndPathChanges) {
   EXPECT_EQ(service.observations_processed(), 5u);
 }
 
-// The SIMD prescreen only engages on batches >= 16 with a small owned set
-// and no ROA table; in every configuration the batch-vs-loop equivalence
-// must hold bit-for-bit. These pin the prescreen's enable/disable edges
-// that the generic oracle above exercises only incidentally.
+// Edges of process_batch that the generic oracle above exercises only
+// incidentally: a batch nothing in owned space touches, withdrawals mixed
+// into a batch, RPKI alerts outside owned space, and owned sets of every
+// size up to one above OwnershipTable::kInterleaveMinEntries, where the
+// batch's lookups run interleaved. In every configuration the
+// batch-vs-loop equivalence must hold bit-for-bit.
 
 /// Runs `stream` through process() one-by-one and through process_batch
 /// as a single span, asserting identical counters and alerts.
@@ -254,13 +256,13 @@ void expect_batch_equals_loop(const Config& config, DetectionOptions options,
 TEST(PrescreenOracleTest, AllIrrelevantBatchSkipsButCountsEverything) {
   const Config config = make_config();
   std::vector<Observation> stream;
-  for (int i = 0; i < 64; ++i) {  // >= 16: prescreen engages, zero overlap
+  for (int i = 0; i < 64; ++i) {  // none overlaps owned space
     stream.push_back(make_obs("203.0.113.0/24", {9, 3356, 666}, "ris-live",
                               100.0 + i));
   }
   DetectionService service(config);
   service.process_batch(stream);
-  EXPECT_EQ(service.observations_processed(), 64u);  // skipped != uncounted
+  EXPECT_EQ(service.observations_processed(), 64u);  // unmatched != uncounted
   EXPECT_EQ(service.observations_matched(), 0u);
   EXPECT_TRUE(service.alerts().empty());
   expect_batch_equals_loop(config, {}, stream);
@@ -269,8 +271,9 @@ TEST(PrescreenOracleTest, AllIrrelevantBatchSkipsButCountsEverything) {
 TEST(PrescreenOracleTest, MixedBatchWithWithdrawalsAndSubprefixes) {
   const Config config = make_config();
   auto stream = scenario_stream(21, 500);
-  // Withdrawals never classify; the prescreen must mark them irrelevant
-  // even when their prefix overlaps owned space.
+  // Withdrawals never classify, even when their prefix overlaps owned
+  // space, and owe no ownership lookup: the batch must still pair every
+  // announcement with its own lookup.
   for (std::size_t i = 0; i < stream.size(); i += 7) {
     stream[i].type = ObservationType::kWithdrawal;
     stream[i].attrs = {};
@@ -280,7 +283,7 @@ TEST(PrescreenOracleTest, MixedBatchWithWithdrawalsAndSubprefixes) {
 
 TEST(PrescreenOracleTest, RoaTableDisablesPrescreenNotDetection) {
   // With a ROA table, observations outside owned space can still raise
-  // kRpkiInvalid — the prescreen must stand down rather than skip them.
+  // kRpkiInvalid — an ownership miss must not end their classification.
   const Config config = make_config();
   rpki::RoaTable roas;
   roas.add({net::Prefix::must_parse("203.0.113.0/24"), 64500, 0});
@@ -288,8 +291,8 @@ TEST(PrescreenOracleTest, RoaTableDisablesPrescreenNotDetection) {
   options.roa_table = &roas;
   std::vector<Observation> stream;
   for (int i = 0; i < 48; ++i) {
-    // Outside owned space, violates the ROA: must alert despite being
-    // prescreen-irrelevant by the overlap test.
+    // Outside owned space, violates the ROA: must alert despite matching
+    // no owned entry.
     stream.push_back(make_obs("203.0.113.0/24", {9, 3356, 666}, "ris-live",
                               100.0 + i));
   }
@@ -300,9 +303,8 @@ TEST(PrescreenOracleTest, RoaTableDisablesPrescreenNotDetection) {
 }
 
 TEST(PrescreenOracleTest, LargeOwnedSetFallsBackToScalarPath) {
-  // > 16 owned prefixes: the O(batch x owned) compare loop would cost
-  // more than it saves, so the prescreen disables itself. Equivalence
-  // must hold either way.
+  // A few dozen owned prefixes: still the plain lookup loop, with
+  // entries that neighbour the scenario's own.
   Config config = make_config();
   for (int i = 0; i < 20; ++i) {
     OwnedPrefix extra;
@@ -311,6 +313,53 @@ TEST(PrescreenOracleTest, LargeOwnedSetFallsBackToScalarPath) {
     config.add_owned(std::move(extra));
   }
   expect_batch_equals_loop(config, {}, scenario_stream(23, 400));
+}
+
+TEST(PipelineOracleTest, InterleavedLookupsAboveThresholdEqualLoop) {
+  // Over kInterleaveMinEntries owned /24s across three tenants, so
+  // process_batch resolves its lookups interleaved while process() runs
+  // one at a time. The stream mixes exact, sub- and super-prefix
+  // announcements of the large set (a /20 covers sixteen owned /24s and
+  // nothing covers it), the scenario's own prefixes, and withdrawals.
+  Config config = make_config();
+  const core::TenantId tenants[] = {config.add_tenant("acme"),
+                                    config.add_tenant("globex"),
+                                    config.add_tenant("initech")};
+  constexpr int kOwned = static_cast<int>(core::OwnershipTable::kInterleaveMinEntries) + 904;
+  const auto slash24 = [](int i) {
+    return "100." + std::to_string(64 + i / 256) + "." + std::to_string(i % 256) + ".0";
+  };
+  for (int i = 0; i < kOwned; ++i) {
+    OwnedPrefix owned;
+    owned.prefix = net::Prefix::must_parse(slash24(i) + "/24");
+    owned.legitimate_origins.insert(65100);
+    config.add_owned(tenants[i % 3], std::move(owned));
+  }
+  ASSERT_GT(config.build_table()->owned().size(),
+            core::OwnershipTable::kInterleaveMinEntries);
+
+  Rng rng(31);
+  auto stream = scenario_stream(29, 1500);
+  for (int i = 0; i < 3000; ++i) {
+    const int n = static_cast<int>(rng.uniform_int(0, kOwned + 999));  // some unowned
+    const std::int64_t kind = rng.uniform_int(0, 2);
+    const std::string prefix = kind == 2   ? slash24(n / 16 * 16) + "/20"
+                               : kind == 1 ? slash24(n) + "/25"
+                                           : slash24(n) + "/24";
+    const bgp::Asn origin = rng.chance(0.5) ? 65100 : 666;
+    const auto at = static_cast<std::size_t>(rng.uniform_u64(stream.size() + 1));
+    const auto burst = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(at), burst,
+                  make_obs(prefix, {9, 3356, origin}, "ris-live", 200.0 + i));
+  }
+  for (std::size_t i = 0; i < stream.size(); i += 11) {
+    stream[i].type = ObservationType::kWithdrawal;
+    stream[i].attrs = {};
+  }
+  DetectionService service(config);
+  service.process_batch(stream);
+  EXPECT_GT(service.alerts().size(), 100u);
+  expect_batch_equals_loop(config, {}, stream);
 }
 
 // ------------------------------------------------------- sharded equivalence

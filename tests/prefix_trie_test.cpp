@@ -241,7 +241,9 @@ TEST(PrefixTrieV6CascadeTest, CascadeMatchesPathOnlyAcrossActivation) {
     const auto a = cascade.lookup(probe);
     const auto b = path_only.lookup(probe);
     ASSERT_EQ(a.has_value(), b.has_value());
-    if (a) EXPECT_EQ(a->first, b->first);
+    if (a) {
+      EXPECT_EQ(a->first, b->first);
+    }
   }
 }
 

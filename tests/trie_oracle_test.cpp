@@ -1,15 +1,17 @@
 // Differential tests: the arena-backed path-compressed PrefixTrie against
 // a naive std::map<Prefix, int> oracle over random operation sequences
 // (both address families, with erasures, across the stride-table
-// activation threshold), plus targeted regression tests for skip-label
-// edge cases (sibling splits at bit 0, full-length keys, splits across
-// the 64-bit key-word boundary).
+// activation threshold); the single-descent overlap query — plain and
+// batched through OwnershipTable — against the two-walk reference; plus
+// targeted regression tests for skip-label edge cases (sibling splits at
+// bit 0, full-length keys, splits across the 64-bit key-word boundary).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <vector>
 
+#include "artemis/ownership.hpp"
 #include "netbase/prefix_trie.hpp"
 #include "util/rng.hpp"
 
@@ -27,6 +29,18 @@ Prefix random_v4(Rng& rng, int min_len = 0, int max_len = 32) {
 Prefix random_v6(Rng& rng, int min_len = 0, int max_len = 128) {
   return Prefix(IpAddress::v6(rng.next_u64(), rng.next_u64()),
                 static_cast<int>(rng.uniform_int(min_len, max_len)));
+}
+
+/// The two-walk reference for lookup_overlap: the most-specific covering
+/// entry, else the first entry visit_covered reaches.
+template <typename T>
+const T* two_walk_overlap(const PrefixTrie<T>& trie, const Prefix& p) {
+  if (const auto hit = trie.lookup_covering(p)) return hit->second;
+  const T* first = nullptr;
+  trie.visit_covered(p, [&](const Prefix&, const T& v) {
+    if (first == nullptr) first = &v;
+  });
+  return first;
 }
 
 /// Longest-prefix match by linear scan over the oracle.
@@ -114,6 +128,11 @@ TEST_P(TrieOracleTest, RandomOpsMatchMapOracle) {
     });
     EXPECT_EQ(got, want) << scope.to_string();
 
+    // The single-descent overlap query equals the two walks, including
+    // over subtrees that erasures left dead.
+    EXPECT_EQ(trie.lookup_overlap(scope), two_walk_overlap(trie, scope))
+        << scope.to_string();
+
     const auto covering = trie.lookup_covering(scope);
     if (want.empty()) {
       EXPECT_FALSE(covering.has_value()) << scope.to_string();
@@ -136,6 +155,8 @@ TEST_P(TrieOracleTest, RandomOpsMatchMapOracle) {
     std::sort(got.begin(), got.end());
     std::sort(want.begin(), want.end());
     EXPECT_EQ(got, want) << scope.to_string();
+    EXPECT_EQ(trie.lookup_overlap(scope), two_walk_overlap(trie, scope))
+        << scope.to_string();
   }
 
   // visit_all enumerates exactly the oracle's entries.
@@ -264,6 +285,130 @@ TEST(TrieSkipLabelTest, StrideTableActivationPreservesSemantics) {
     }
   }
 }
+
+
+// ------------------------------------------ overlap query vs two walks
+
+// Dense blocks that no random entry overlaps, so queries above their
+// entries have no covering entry and must answer with the first covered
+// one (the super-prefix case).
+const Prefix kDense4 = Prefix::must_parse("10.0.0.0/8");
+const Prefix kDense6 = Prefix::must_parse("2001:db8::/32");
+
+Prefix random_in(Rng& rng, const Prefix& block, int min_len, int max_len) {
+  const int len = static_cast<int>(rng.uniform_int(min_len, max_len));
+  const auto [hi, lo] = block.address().words();
+  const std::uint64_t keep = ~0ULL << (64 - block.length());
+  const std::uint64_t r = rng.next_u64();
+  const IpAddress addr =
+      block.is_v4()
+          ? IpAddress::v4(static_cast<std::uint32_t>(((hi & keep) | (r & ~keep)) >> 32))
+          : IpAddress::v6((hi & keep) | (r & ~keep), rng.next_u64());
+  return Prefix(addr, len);
+}
+
+/// A table of `n` entries of mixed lengths: 60% v4, 40% v6; a quarter of
+/// each family packed into its dense block, the rest spread out.
+std::vector<Prefix> overlap_table(Rng& rng, std::size_t n) {
+  std::vector<Prefix> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const bool v4 = rng.chance(0.6);
+    const Prefix& dense = v4 ? kDense4 : kDense6;
+    if (rng.chance(0.25)) {
+      out.push_back(v4 ? random_in(rng, dense, 20, 32) : random_in(rng, dense, 40, 128));
+      continue;
+    }
+    const Prefix p = v4 ? random_v4(rng, 8, 32) : random_v6(rng, 16, 128);
+    if (!p.overlaps(dense)) out.push_back(p);
+  }
+  return out;
+}
+
+/// Queries: random prefixes of both families, super-prefixes of the dense
+/// blocks' entries, stored entries, and stored entries made longer or
+/// shorter.
+std::vector<Prefix> overlap_queries(Rng& rng, const std::vector<Prefix>& table,
+                                    std::size_t n) {
+  std::vector<Prefix> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const double dice = rng.uniform01();
+    if (dice < 0.3) {
+      out.push_back(rng.chance(0.5) ? random_v4(rng, 4, 32) : random_v6(rng, 8, 128));
+    } else if (dice < 0.55) {
+      out.push_back(rng.chance(0.5) ? random_in(rng, kDense4, 9, 19)
+                                    : random_in(rng, kDense6, 33, 39));
+    } else {
+      const Prefix& p = table[rng.uniform_u64(table.size())];
+      const int max_len = p.is_v4() ? 32 : 128;
+      const int len = dice < 0.7 ? p.length()
+                                 : static_cast<int>(rng.uniform_int(0, max_len));
+      out.push_back(Prefix(p.address(), len));
+    }
+  }
+  return out;
+}
+
+class OverlapOracleTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(OverlapOracleTest, SingleAndBatchedQueriesEqualTwoWalks) {
+  const std::size_t size = GetParam();
+  Rng rng(size);
+  const std::vector<Prefix> table = overlap_table(rng, size);
+  PrefixTrie<std::uint32_t> trie;
+  std::vector<core::OwnedPrefix> owned;
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    trie.insert(table[i], static_cast<std::uint32_t>(i));
+    core::OwnedPrefix entry;
+    entry.prefix = table[i];
+    entry.tenant = static_cast<core::TenantId>(i % 3);
+    owned.push_back(std::move(entry));
+  }
+  std::vector<core::TenantInfo> tenants(3);
+  for (core::TenantId t = 0; t < 3; ++t) tenants[t].id = t;
+  const core::OwnershipTable ownership(std::move(owned), std::move(tenants));
+
+  const std::vector<Prefix> queries = overlap_queries(rng, table, 3000);
+  std::vector<core::OwnershipRef> want(queries.size());
+  std::size_t covered_answers = 0;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const std::uint32_t* ref = two_walk_overlap(trie, queries[i]);
+    ASSERT_EQ(trie.lookup_overlap(queries[i]), ref) << queries[i].to_string();
+    if (ref != nullptr) {
+      want[i] = {*ref, ownership.owned()[*ref].tenant};
+      if (!trie.lookup_covering(queries[i])) ++covered_answers;
+    }
+    ASSERT_EQ(ownership.match(queries[i]), want[i]) << queries[i].to_string();
+  }
+  EXPECT_GT(covered_answers, 0u) << "no query exercised the covered-entry answer";
+
+  // Batched, in chunks around the lane count and across the whole stream.
+  constexpr std::size_t kLanes = core::OwnershipTable::kBatchLanes;
+  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1}, kLanes - 1, kLanes + 1,
+                                  3 * kLanes + 5, queries.size()}) {
+    std::vector<core::OwnershipRef> got(queries.size());
+    const std::span<const Prefix> all(queries);
+    if (chunk == 0) {
+      ownership.match_batch(all.first(0), std::span<core::OwnershipRef>(got).first(0));
+      continue;
+    }
+    for (std::size_t i = 0; i < queries.size(); i += chunk) {
+      const std::size_t n = std::min(chunk, queries.size() - i);
+      ownership.match_batch(all.subspan(i, n), std::span(got).subspan(i, n));
+    }
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "chunk=" << chunk << " " << queries[i].to_string();
+    }
+  }
+}
+
+// Sizes straddle the v4 stride activations (1024 and 65536 nodes), the
+// first two v6 cascade steps (1024 and 16384 nodes) and
+// OwnershipTable::kInterleaveMinEntries.
+INSTANTIATE_TEST_SUITE_P(TableSizes, OverlapOracleTest,
+                         ::testing::Values(std::size_t{300}, std::size_t{3000},
+                                           std::size_t{6000}, std::size_t{80000}));
 
 }  // namespace
 }  // namespace artemis::net
