@@ -1,7 +1,8 @@
 // Shared scaffolding for the experiment benches (E1-E6).
 //
-// Each bench binary reproduces one of the paper's reported results
-// (DESIGN.md, experiment index) by running HijackExperiment over a
+// Each bench binary reproduces one of the paper's reported results (the
+// E-number in its header comment; README "Benchmarks and CI" lists the
+// binaries) by running HijackExperiment over a
 // synthetic Internet across several seeds and printing a paper-style
 // table. Flags (all optional): --trials=N --seed=S --ases=N.
 #pragma once

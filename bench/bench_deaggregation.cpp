@@ -51,7 +51,8 @@ int main(int argc, char** argv) {
         total.add(result.total_duration()->as_seconds());
       }
     }
-    table.add_row({"/" + std::to_string(length), deagg ? "yes" : "NO", announced,
+    table.add_row({std::string("/").append(std::to_string(length)),
+                   deagg ? "yes" : "NO", announced,
                    TextTable::num(recovered.mean(), 0) + "%",
                    std::to_string(fully) + "/" + std::to_string(trials),
                    total.empty() ? "-" : fmt_seconds(total.mean())});
@@ -63,7 +64,8 @@ int main(int argc, char** argv) {
 
   // Extension ablation: mitigation outsourcing rescues the /24 victim by
   // recruiting well-connected helper organizations to co-announce (MOAS)
-  // and tunnel traffic back (DESIGN.md, "outsourcing").
+  // and tunnel traffic back (an extension following the authors' later
+  // work; see MitigationPolicy::Outsource in artemis/ownership.hpp).
   std::printf("--- extension: outsourced mitigation for the /24 victim ---\n");
   TextTable outsource_table({"helpers", "recovered mean", "recovered min",
                              "fully mitigated"});

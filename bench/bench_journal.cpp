@@ -64,7 +64,9 @@ const std::vector<feeds::Observation>& workload() {
     for (int g = 0; g < kBursts; ++g) {
       feeds::Observation obs;
       obs.type = feeds::ObservationType::kAnnouncement;
-      obs.source = (g % 3 == 0) ? "ris-live" : (g % 3 == 1) ? "bgpmon" : "periscope";
+      obs.source = feeds::intern_source((g % 3 == 0)   ? "ris-live"
+                                        : (g % 3 == 1) ? "bgpmon"
+                                                       : "periscope");
       obs.vantage = 9;
       obs.prefix = (g % 16 == 0) ? net::Prefix::must_parse("10.0.0.0/23")
                                  : random_prefix(rng);

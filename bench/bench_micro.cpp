@@ -192,7 +192,7 @@ void BM_DetectionProcess(benchmark::State& state) {
   for (int i = 0; i < 4096; ++i) {
     feeds::Observation obs;
     obs.type = feeds::ObservationType::kAnnouncement;
-    obs.source = "bench";
+    obs.source = feeds::intern_source("bench");
     obs.vantage = 9;
     obs.prefix = (i % 16 == 0) ? net::Prefix::must_parse("10.0.0.0/23")
                                : random_prefix(rng);
@@ -250,7 +250,7 @@ void BM_OwnershipColdLoad(benchmark::State& state) {
   config.add_owned(std::move(victim));
   feeds::Observation hijack;
   hijack.type = feeds::ObservationType::kAnnouncement;
-  hijack.source = "bench";
+  hijack.source = feeds::intern_source("bench");
   hijack.vantage = 9;
   hijack.prefix = net::Prefix::must_parse("10.99.0.0/23");
   hijack.attrs.as_path = bgp::AsPath({9, 3356, 666});

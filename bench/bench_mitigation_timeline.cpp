@@ -2,8 +2,9 @@
 // fraction-of-vantage-points series (paper §3: detect ~45 s, announce
 // de-aggregated /24s ~15 s later, mitigation completed within ~5 min,
 // ~6 min end to end; §4: visualization of vantage points flipping to the
-// illegitimate origin and back). Includes the MRAI ablation called out in
-// DESIGN.md (pacing off -> convergence collapses to seconds).
+// illegitimate origin and back). Includes an MRAI ablation (pacing off ->
+// convergence collapses to seconds), which shows that the minutes-long
+// mitigation time is BGP's MRAI pacing, not ARTEMIS.
 #include "bench_common.hpp"
 
 using namespace artemis;

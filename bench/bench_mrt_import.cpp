@@ -231,7 +231,7 @@ void BM_MrtLegacyElemAdapter(benchmark::State& state) {
           obs.type = feeds::ObservationType::kRouteState;
           break;
       }
-      obs.source = "batch-updates";
+      obs.source = feeds::intern_source("batch-updates");
       obs.vantage = elem.peer_asn;
       obs.prefix = elem.prefix;
       obs.attrs = elem.attrs;

@@ -15,6 +15,10 @@
 //                              mixed-length stream over the table's space.
 //   * BM_DetectionBatch/<B>  — process_batch alone (no hub), isolating
 //                              the detection-side amortization.
+//   * BM_HubPublish/sources:<S> — publish_batch alone (no subscriber):
+//                              the hub's per-source accounting over S
+//                              sources interleaved record by record, as
+//                              an MRT import's collector peers arrive.
 //   * BM_ShardedInline/<N>   — inline hash dispatch across N shards.
 //   * BM_ShardedThreaded/<N> — SPSC rings + N workers; submit+flush per
 //                              iteration. Multi-shard scaling.
@@ -23,6 +27,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -65,7 +70,9 @@ const std::vector<feeds::Observation>& workload() {
     for (int g = 0; g < kBursts; ++g) {
       feeds::Observation obs;
       obs.type = feeds::ObservationType::kAnnouncement;
-      obs.source = (g % 3 == 0) ? "ris-live" : (g % 3 == 1) ? "bgpmon" : "periscope";
+      obs.source = feeds::intern_source((g % 3 == 0)   ? "ris-live"
+                                        : (g % 3 == 1) ? "bgpmon"
+                                                       : "periscope");
       obs.vantage = 9;
       obs.prefix = (g % 16 == 0) ? net::Prefix::must_parse("10.0.0.0/23")
                                  : random_prefix(rng);
@@ -160,7 +167,9 @@ const OwnedWorkload& owned_workload(std::size_t owned) {
   for (int g = 0; g < kBursts; ++g) {
     feeds::Observation obs;
     obs.type = feeds::ObservationType::kAnnouncement;
-    obs.source = (g % 3 == 0) ? "ris-live" : (g % 3 == 1) ? "bgpmon" : "periscope";
+    obs.source = feeds::intern_source((g % 3 == 0)   ? "ris-live"
+                                      : (g % 3 == 1) ? "bgpmon"
+                                                     : "periscope");
     obs.vantage = 9;
     if (rng.chance(0.5)) {
       const net::Prefix& base = entries[rng.uniform_u64(owned)].prefix;
@@ -214,6 +223,26 @@ void BM_DetectionBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch_size));
 }
 BENCHMARK(BM_DetectionBatch)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_HubPublish(benchmark::State& state) {
+  const auto sources = static_cast<std::size_t>(state.range(0));
+  std::vector<feeds::SourceId> ids;
+  for (std::size_t s = 0; s < sources; ++s) {
+    ids.push_back(feeds::intern_source("mrt:AS" + std::to_string(64512 + s)));
+  }
+  std::vector<feeds::Observation> stream(workload().begin(), workload().begin() + 4096);
+  for (std::size_t i = 0; i < stream.size(); ++i) stream[i].source = ids[i % sources];
+  feeds::MonitorHub hub;
+  constexpr std::size_t kBatch = 256;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    hub.publish_batch({stream.data() + i, kBatch});
+    i = (i + kBatch) % stream.size();
+  }
+  benchmark::DoNotOptimize(hub.total_observations());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_HubPublish)->ArgNames({"sources"})->Arg(1)->Arg(32);
 
 /// The telemetry cost gate (ISSUE 8): BM_BatchPath's exact hub->detection
 /// workload at B=1024, with metrics:0 = bare and metrics:1 = a registry

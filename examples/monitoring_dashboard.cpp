@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
   for (const auto& owned : config.owned()) {
     std::string origins;
     for (const auto asn : owned.legitimate_origins) {
-      origins += (origins.empty() ? "" : ",") + std::to_string(asn);
+      if (!origins.empty()) origins += ',';
+      origins += std::to_string(asn);
     }
     std::printf("  %s owned by AS{%s}\n", owned.prefix.to_string().c_str(),
                 origins.c_str());

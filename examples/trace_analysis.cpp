@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     obs.type = elem.type == mrt::ElemType::kWithdraw
                    ? feeds::ObservationType::kWithdrawal
                    : feeds::ObservationType::kAnnouncement;
-    obs.source = "mrt-replay";
+    obs.source = feeds::intern_source("mrt-replay");
     obs.vantage = elem.peer_asn;
     obs.prefix = elem.prefix;
     obs.attrs = elem.attrs;

@@ -15,11 +15,16 @@ std::string_view to_string(HijackType t) {
 
 std::string HijackAlert::dedup_key() const {
   std::string key(core::to_string(type));
-  key += "|" + observed_prefix.to_string();
-  key += "|" + std::to_string(offender);
-  // Single-operator keys stay byte-identical to pre-multi-tenant builds;
-  // named tenants scope theirs (same partitioning as AlertKey::tenant).
-  if (tenant != kDefaultTenantId) key += "|t" + std::to_string(tenant);
+  key += '|';
+  key += observed_prefix.to_string();
+  key += '|';
+  key += std::to_string(offender);
+  // Tenant 0 keys stay byte-identical to pre-multi-tenant builds; other
+  // tenants scope theirs (same partitioning as AlertKey::tenant).
+  if (tenant != kDefaultTenantId) {
+    key += "|t";
+    key += std::to_string(tenant);
+  }
   return key;
 }
 
@@ -36,13 +41,19 @@ std::string HijackAlert::to_string() const {
   out += owned_prefix.to_string();
   out += ") offender AS";
   out += std::to_string(offender);
-  out += " path [" + observed_path.to_string() + "]";
-  out += " via AS" + std::to_string(vantage);
-  out += "/" + source;
-  out += " at " + detected_at.to_string();
-  // The default tenant prints nothing extra, keeping single-operator
-  // output (and the golden alert fixtures) byte-identical.
-  if (tenant != kDefaultTenantId) {
+  out += " path [";
+  out += observed_path.to_string();
+  out += "] via AS";
+  out += std::to_string(vantage);
+  out += '/';
+  out += source;
+  out += " at ";
+  out += detected_at.to_string();
+  // Only the implicit v1 tenant (id 0, no name) prints nothing extra,
+  // keeping single-operator output (and the golden alert fixtures)
+  // byte-identical. A named tenant 0 (the first tenant of a v2 config) is
+  // labeled like every other tenant.
+  if (tenant != kDefaultTenantId || !tenant_name.empty()) {
     out += " tenant=";
     out += tenant_name.empty() ? std::to_string(tenant) : tenant_name;
   }

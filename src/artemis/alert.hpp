@@ -13,8 +13,8 @@ namespace artemis::core {
 
 /// Classification of the violation (the demo paper detects origin-AS
 /// violations; the -0/-1 taxonomy follows the authors' later work and is
-/// implemented as an extension — see DESIGN.md "Detection beyond the
-/// demo").
+/// implemented as an extension — see the check list at the top of
+/// artemis/detection.hpp).
 enum class HijackType : std::uint8_t {
   kExactOrigin,  ///< our exact prefix announced with a wrong origin AS
   kSubPrefix,    ///< a more-specific of our prefix announced by anyone
@@ -31,7 +31,8 @@ struct HijackAlert {
   net::Prefix owned_prefix;
   /// Whose prefix it is: the owning tenant of the matched entry (the
   /// implicit default tenant for single-operator configs) and its
-  /// display name, the alert-routing key of a shared deployment.
+  /// display name, the alert-routing key of a shared deployment. The name
+  /// stays empty for the implicit tenant (TenantInfo::implicit).
   TenantId tenant = kDefaultTenantId;
   std::string tenant_name;
   /// The prefix actually observed (differs for sub/super-prefix hijacks).

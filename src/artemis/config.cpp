@@ -86,7 +86,10 @@ TenantId Config::add_tenant(std::string name, MitigationPolicy mitigation) {
 }
 
 TenantId Config::ensure_default_tenant() {
-  if (tenants_.empty()) return add_tenant("default");
+  if (tenants_.empty()) {
+    add_tenant(std::string(kDefaultTenantName));
+    tenants_.front().implicit = true;
+  }
   return kDefaultTenantId;
 }
 
@@ -119,9 +122,11 @@ std::shared_ptr<const OwnershipTable> Config::build_table() const {
   if (tenants.empty()) {
     // Even an empty config snapshots with the default tenant, so tenant
     // id 0 always resolves to a policy.
-    tenants.push_back(TenantInfo{kDefaultTenantId, "default", MitigationPolicy{}});
+    tenants.push_back(TenantInfo{kDefaultTenantId, std::string(kDefaultTenantName),
+                                 MitigationPolicy{}, /*implicit=*/true});
   }
-  return std::make_shared<const OwnershipTable>(owned_, std::move(tenants));
+  return std::make_shared<const OwnershipTable>(std::span<const OwnedPrefix>(owned_),
+                                                std::move(tenants));
 }
 
 Config Config::from_json(const json::Value& doc) {
@@ -163,8 +168,7 @@ Config Config::from_json_text(std::string_view text) {
 }
 
 json::Value Config::to_json() const {
-  const bool v1 = tenants_.size() <= 1 &&
-                  (tenants_.empty() || tenants_.front().name == "default");
+  const bool v1 = tenants_.empty() || (tenants_.size() == 1 && tenants_.front().implicit);
   if (v1) {
     json::Array prefixes;
     for (const auto& owned : owned_) prefixes.push_back(owned_entry_to_json(owned));

@@ -1,5 +1,8 @@
 #include "artemis/detection.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace artemis::core {
 
 DetectionService::DetectionService(std::shared_ptr<const OwnershipTable> table,
@@ -57,10 +60,10 @@ std::optional<DetectionService::Classification> DetectionService::classify(
     }
     return std::nullopt;
   }
-  const OwnedPrefix& owned = table_->entry(ref);
+  const OwnedEntry& owned = table_->entry(ref);
 
   const bgp::Asn origin = obs.origin_as();
-  const bool origin_ok = owned.legitimate_origins.contains(origin);
+  const bool origin_ok = table_->legitimate_origin(ref.entry, origin);
 
   if (obs.prefix == owned.prefix) {
     if (!origin_ok) {
@@ -84,11 +87,12 @@ std::optional<DetectionService::Classification> DetectionService::classify(
   }
 
   // Origin is fine (or checks disabled); optionally vet the first hop.
-  if (options_.detect_fake_first_hop && origin_ok &&
-      !owned.legitimate_neighbors.empty()) {
+  if (options_.detect_fake_first_hop && origin_ok) {
+    const auto neighbors = table_->legitimate_neighbors(ref.entry);
     const bgp::Asn adjacent = obs.attrs.as_path.origin_neighbor();
-    if (adjacent != bgp::kNoAsn && !owned.legitimate_neighbors.contains(adjacent) &&
-        !owned.legitimate_origins.contains(adjacent)) {
+    if (!neighbors.empty() && adjacent != bgp::kNoAsn &&
+        !std::binary_search(neighbors.begin(), neighbors.end(), adjacent) &&
+        !table_->legitimate_origin(ref.entry, adjacent)) {
       return Classification{HijackType::kFakeFirstHop, owned.prefix, adjacent,
                             ref.tenant};
     }
@@ -173,8 +177,8 @@ void DetectionService::process_batch(std::span<const feeds::Observation> batch) 
     const Classification& classified = *memo.result;
     ++matched_;
 
-    // Steady state (already-seen observation): at most one hash find, one
-    // string hash for the source's first-seen slot — no heap allocations.
+    // Steady state (already-seen observation): at most one hash find and
+    // a scan of the record's short first-seen list — no heap allocations.
     const AlertKey key{classified.type, obs.prefix, classified.offender,
                        classified.tenant};
     HijackRecord* record = nullptr;
@@ -189,7 +193,7 @@ void DetectionService::process_batch(std::span<const feeds::Observation> batch) 
       last_record = record;
     }
     ++record->observations;
-    record->first_seen_by_source.try_emplace(obs.source, obs.delivered_at);
+    record->first_seen_by_source.record(obs.source, obs.delivered_at);
     if (!fresh) {
       ++tally_dedup_hits;
       continue;
@@ -214,14 +218,15 @@ void DetectionService::process_batch(std::span<const feeds::Observation> batch) 
     alert.type = classified.type;
     alert.owned_prefix = classified.owned_prefix;
     alert.tenant = classified.tenant;
-    if (const TenantInfo* info = table_->tenant(classified.tenant)) {
+    if (const TenantInfo* info = table_->tenant(classified.tenant);
+        info != nullptr && !info->implicit) {
       alert.tenant_name = info->name;
     }
     alert.observed_prefix = obs.prefix;
     alert.offender = classified.offender;
     alert.observed_path = obs.attrs.as_path;
     alert.vantage = obs.vantage;
-    alert.source = obs.source;
+    alert.source = feeds::source_name(obs.source);
     alert.event_time = obs.event_time;
     alert.detected_at = obs.delivered_at;
     record->dedup = alert.dedup_key();
@@ -237,13 +242,20 @@ void DetectionService::process_batch(std::span<const feeds::Observation> batch) 
   }
 }
 
-const std::unordered_map<std::string, SimTime>* DetectionService::first_seen_by_source(
+SimTime FirstSeenBySource::at(std::string_view source) const {
+  for (const Entry& entry : entries_) {
+    if (feeds::source_name(entry.source) == source) return entry.at;
+  }
+  throw std::out_of_range("source never delivered: " + std::string(source));
+}
+
+const FirstSeenBySource* DetectionService::first_seen_by_source(
     const AlertKey& key) const {
   const auto it = records_.find(key);
   return it == records_.end() ? nullptr : &it->second.first_seen_by_source;
 }
 
-const std::unordered_map<std::string, SimTime>* DetectionService::first_seen_by_source(
+const FirstSeenBySource* DetectionService::first_seen_by_source(
     const std::string& dedup_key) const {
   for (const auto& [key, record] : records_) {
     if (record.dedup == dedup_key) return &record.first_seen_by_source;

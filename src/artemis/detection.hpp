@@ -32,10 +32,48 @@ namespace artemis::core {
 
 using AlertHandler = std::function<void(const HijackAlert&)>;
 
+/// The first time each source delivered an observation of one hijack: a
+/// small flat list in first-sight order (a hijack is seen by a handful of
+/// sources, so a scan beats hashing).
+class FirstSeenBySource {
+ public:
+  struct Entry {
+    feeds::SourceId source = feeds::kNoSource;
+    SimTime at;
+    bool operator==(const Entry&) const = default;
+  };
+
+  /// Records `at` for `source` unless the source is already listed.
+  /// Allocates only when a new source extends the list.
+  void record(feeds::SourceId source, SimTime at) {
+    if (find(source) == nullptr) entries_.push_back(Entry{source, at});
+  }
+
+  /// nullptr when `source` never delivered.
+  const SimTime* find(feeds::SourceId source) const {
+    for (const Entry& entry : entries_) {
+      if (entry.source == source) return &entry.at;
+    }
+    return nullptr;
+  }
+
+  /// Lookup by name (display and test call sites); throws
+  /// std::out_of_range when the source never delivered.
+  SimTime at(std::string_view source) const;
+
+  std::size_t size() const { return entries_.size(); }
+  auto begin() const { return entries_.begin(); }
+  auto end() const { return entries_.end(); }
+  bool operator==(const FirstSeenBySource&) const = default;
+
+ private:
+  std::vector<Entry> entries_;
+};
+
 struct DetectionOptions {
-  /// Extensions beyond the demo's origin check (DESIGN.md). Benches that
-  /// reproduce the paper leave sub/super on (they never fire in the
-  /// exact-origin experiments) and first-hop off.
+  /// Extensions beyond the demo's origin check (listed in this file's
+  /// header comment). Benches that reproduce the paper leave sub/super on
+  /// (they never fire in the exact-origin experiments) and first-hop off.
   bool detect_subprefix = true;
   bool detect_superprefix = true;
   bool detect_fake_first_hop = false;
@@ -98,10 +136,8 @@ class DetectionService {
   /// Used for per-source delay reporting. The AlertKey overload is a hash
   /// lookup; the string overload (a HijackAlert::dedup_key()) scans and
   /// is for display/tooling call sites only.
-  const std::unordered_map<std::string, SimTime>* first_seen_by_source(
-      const AlertKey& key) const;
-  const std::unordered_map<std::string, SimTime>* first_seen_by_source(
-      const std::string& dedup_key) const;
+  const FirstSeenBySource* first_seen_by_source(const AlertKey& key) const;
+  const FirstSeenBySource* first_seen_by_source(const std::string& dedup_key) const;
 
   /// Number of matching observations per deduplicated alert.
   std::uint64_t observation_count(const AlertKey& key) const;
@@ -152,7 +188,7 @@ class DetectionService {
   std::vector<AlertHandler> handlers_;
   std::vector<HijackAlert> alerts_;
   struct HijackRecord {
-    std::unordered_map<std::string, SimTime> first_seen_by_source;
+    FirstSeenBySource first_seen_by_source;
     std::uint64_t observations = 0;
     std::string dedup;  ///< display key, materialized once per unique alert
   };

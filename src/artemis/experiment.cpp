@@ -342,7 +342,9 @@ ExperimentResult HijackExperiment::run() {
     if (const auto* by_source =
             app_->sharded_detection().first_seen_by_source(first.key())) {
       // The result keeps a std::map so reports and JSON iterate sorted.
-      result.detection_by_source.insert(by_source->begin(), by_source->end());
+      for (const auto& [source, at] : *by_source) {
+        result.detection_by_source.emplace(feeds::source_name(source), at);
+      }
     }
   }
   const auto& mitigations = app_->mitigation().records();

@@ -8,7 +8,8 @@
 //   switched back to the legitimate origin.
 //
 // The victim/attacker pair substitutes for the PEERING testbed's two
-// virtual ASes at different sites (DESIGN.md substitution table).
+// virtual ASes at different sites; the simulated network stands in for
+// the Internet between them (see sim/network.hpp).
 #pragma once
 
 #include <memory>

@@ -31,12 +31,12 @@ std::vector<net::IpAddress> MonitoringService::sample_points(
 }
 
 bool MonitoringService::compute_legitimate(const VantageView& view,
-                                           const OwnedPrefix& owned) const {
-  const auto samples = sample_points(owned.prefix);
+                                           std::uint32_t entry) const {
+  const auto samples = sample_points(table_->owned()[entry].prefix);
   for (const auto& addr : samples) {
     const auto hit = view.routes.lookup(addr);
     if (!hit) return false;  // no route: traffic is blackholed, not ours
-    if (!owned.legitimate_origins.contains(*hit->second)) return false;
+    if (!table_->legitimate_origin(entry, *hit->second)) return false;
   }
   return true;
 }
@@ -57,13 +57,11 @@ void MonitoringService::process_one(const feeds::Observation& obs,
   // and for the (typical) non-owned majority the memo also short-circuits
   // the scan.
   if (!cursor.prefix_valid || cursor.prefix != obs.prefix) {
-    const OwnershipRef ref = table_->match(obs.prefix);
-    cursor.owned = ref ? &table_->entry(ref) : nullptr;
+    cursor.owned = table_->match(obs.prefix).valid();
     cursor.prefix = obs.prefix;
     cursor.prefix_valid = true;
   }
-  const OwnedPrefix* owned = cursor.owned;
-  if (owned == nullptr) return;
+  if (!cursor.owned) return;
 
   // Per-vantage view memo: one map walk per run of equal vantages.
   if (cursor.view == nullptr || cursor.vantage != obs.vantage) {
@@ -82,7 +80,7 @@ void MonitoringService::process_one(const feeds::Observation& obs,
   for (std::size_t i = 0; i < table_->owned().size(); ++i) {
     const auto& candidate = table_->owned()[i];
     if (!candidate.prefix.overlaps(obs.prefix)) continue;
-    const bool legit = compute_legitimate(view, candidate);
+    const bool legit = compute_legitimate(view, static_cast<std::uint32_t>(i));
     const auto key = std::make_pair(obs.vantage, i);
     const auto it = state_.find(key);
     if (it != state_.end() && it->second == legit) continue;

@@ -97,7 +97,7 @@ class MonitoringService {
     VantageView* view = nullptr;
     bool prefix_valid = false;
     net::Prefix prefix;
-    const OwnedPrefix* owned = nullptr;
+    bool owned = false;  ///< `prefix` overlaps owned space
   };
 
   void process_one(const feeds::Observation& obs, BatchCursor& cursor);
@@ -105,7 +105,9 @@ class MonitoringService {
   /// Sample addresses whose LPM decides legitimacy for `owned` (the two
   /// half-prefix bases, so post-mitigation /24s are judged correctly).
   std::vector<net::IpAddress> sample_points(const net::Prefix& owned) const;
-  bool compute_legitimate(const VantageView& view, const OwnedPrefix& owned) const;
+  /// Legitimacy of owned entry `entry` (an index into the table's owned())
+  /// as `view` routes it.
+  bool compute_legitimate(const VantageView& view, std::uint32_t entry) const;
 
   std::shared_ptr<const OwnershipTable> table_;
   std::map<bgp::Asn, VantageView> vantages_;

@@ -1,6 +1,9 @@
 #include "artemis/ownership.hpp"
 
+#include <algorithm>
 #include <array>
+#include <atomic>
+#include <stdexcept>
 
 namespace artemis::core {
 
@@ -10,17 +13,57 @@ namespace {
 std::atomic<std::uint64_t> g_next_version{1};
 }  // namespace
 
-OwnershipTable::OwnershipTable(std::vector<OwnedPrefix> owned,
+OwnershipTable::OwnershipTable(std::span<const OwnedPrefix> owned,
                                std::vector<TenantInfo> tenants)
-    : owned_(std::move(owned)),
-      tenants_(std::move(tenants)),
+    : tenants_(std::move(tenants)),
       version_(g_next_version.fetch_add(1, std::memory_order_relaxed)) {
+  owned_.reserve(owned.size());
+  extras_.reserve(owned.size());
+  asns_.push_back(bgp::kNoAsn);  // offset 0 means "no extras"
+  for (const OwnedPrefix& declared : owned) {
+    if (declared.legitimate_origins.empty()) {
+      throw std::invalid_argument("owned prefix " + declared.prefix.to_string() +
+                                  " needs at least one legitimate origin");
+    }
+    const bgp::Asn first = *declared.legitimate_origins.begin();
+    owned_.push_back(OwnedEntry{declared.prefix, declared.tenant, first});
+    const std::size_t more = declared.legitimate_origins.size() - 1;
+    if (more == 0 && declared.legitimate_neighbors.empty()) {
+      extras_.push_back(0);
+      continue;
+    }
+    extras_.push_back(static_cast<std::uint32_t>(asns_.size()));
+    asns_.push_back(static_cast<bgp::Asn>(more));
+    asns_.push_back(static_cast<bgp::Asn>(declared.legitimate_neighbors.size()));
+    asns_.insert(asns_.end(), std::next(declared.legitimate_origins.begin()),
+                 declared.legitimate_origins.end());
+    asns_.insert(asns_.end(), declared.legitimate_neighbors.begin(),
+                 declared.legitimate_neighbors.end());
+  }
+  asns_.shrink_to_fit();
   for (std::size_t i = 0; i < owned_.size(); ++i) {
     index_.insert(owned_[i].prefix, static_cast<std::uint32_t>(i));
   }
   for (const auto& tenant : tenants_) {
     if (tenant.mitigation.auto_mitigate) any_auto_mitigate_ = true;
   }
+}
+
+std::span<const bgp::Asn> OwnershipTable::extra_origins(std::uint32_t entry) const {
+  const std::uint32_t at = extras_[entry];
+  if (at == 0) return {};
+  return {asns_.data() + at + 2, asns_[at]};
+}
+
+std::span<const bgp::Asn> OwnershipTable::legitimate_neighbors(
+    std::uint32_t entry) const {
+  const std::uint32_t at = extras_[entry];
+  if (at == 0) return {};
+  return {asns_.data() + at + 2 + asns_[at], asns_[at + 1]};
+}
+
+bool OwnershipTable::contains(std::span<const bgp::Asn> sorted, bgp::Asn asn) {
+  return std::binary_search(sorted.begin(), sorted.end(), asn);
 }
 
 OwnershipRef OwnershipTable::match(const net::Prefix& p) const {
@@ -64,7 +107,6 @@ void OwnershipTable::match_batch(std::span<const net::Prefix> prefixes,
         if (const std::uint32_t* idx = lane.cursor.result()) {
           lane.entry = *idx;
           __builtin_prefetch(&owned_[lane.entry]);
-          __builtin_prefetch(&owned_[lane.entry].tenant);
           ++l;
           continue;
         }
@@ -80,22 +122,6 @@ void OwnershipTable::match_batch(std::span<const net::Prefix> prefixes,
       }
     }
   }
-}
-
-OwnershipStore::OwnershipStore(std::shared_ptr<const OwnershipTable> initial)
-    : table_(std::move(initial)) {}
-
-std::shared_ptr<const OwnershipTable> OwnershipStore::snapshot() const {
-  const std::scoped_lock lock(mutex_);
-  return table_;
-}
-
-void OwnershipStore::publish(std::shared_ptr<const OwnershipTable> table) {
-  {
-    const std::scoped_lock lock(mutex_);
-    table_ = std::move(table);
-  }
-  epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace artemis::core

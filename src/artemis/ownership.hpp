@@ -4,25 +4,28 @@
 // pipeline serves many tenants — every AS a potential customer — from
 // ONE immutable snapshot:
 //
+//   * OwnedPrefix — the builder-side declaration (Config holds these):
+//     a prefix, its legitimate origin and neighbor sets, its tenant.
+//
 //   * OwnershipTable — a frozen, arena-trie-backed snapshot of every
 //     owned prefix across every tenant. A lookup is one descent of the
 //     same path-compressed trie the RIBs use, so its cost is independent
 //     of the tenant count; a batch of lookups interleaves its descents
-//     once the table outgrows the cache. Immutable by construction:
-//     build it (from a Config), publish it, never touch it again — any
-//     thread may read it without synchronization.
+//     once the table outgrows the cache. Each entry is frozen into one
+//     32-byte OwnedEntry (prefix, tenant, first legitimate origin), so a
+//     lookup touches one cache line past the trie; any further origins
+//     and the neighbor set sit in one flat ASN arena, read only on an
+//     origin mismatch or by the fake-first-hop check. Immutable by
+//     construction: build it (from a Config), publish it, never touch it
+//     again — any thread may read it without synchronization. A reload
+//     builds a new table; ShardedDetector::reload swaps it in at a batch
+//     boundary.
 //
 //   * OwnershipRef — the POD result of a lookup: (owned-entry index,
-//     tenant id) instead of a bare OwnedPrefix*. Refs are only
-//     meaningful against the table that produced them; holding a ref
-//     across a snapshot swap is a bug the index form makes visible
-//     (the pointer form made it a use-after-free).
-//
-//   * OwnershipStore — epoch/RCU-style publication. reload produces a
-//     NEW table and publishes it atomically; readers that captured the
-//     old shared_ptr keep a consistent view until their batch boundary,
-//     then pick up the new snapshot. Nothing restarts, nothing
-//     re-replays, no in-flight batch is perturbed.
+//     tenant id) instead of a bare pointer. Refs are only meaningful
+//     against the table that produced them; holding a ref across a
+//     snapshot swap is a bug the index form makes visible (the pointer
+//     form made it a use-after-free).
 //
 // Overlapping ownership across tenants resolves to a single winner per
 // observation: the most-specific covering entry or, when nothing covers
@@ -32,13 +35,12 @@
 // same prefix the later one wins.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bgp/types.hpp"
@@ -52,8 +54,10 @@ namespace artemis::core {
 /// id 0, named "default".
 using TenantId = std::uint32_t;
 inline constexpr TenantId kDefaultTenantId = 0;
+inline constexpr std::string_view kDefaultTenantName = "default";
 
-/// One owned prefix and its legitimacy ground truth.
+/// One owned prefix and its legitimacy ground truth, as declared (the
+/// Config side; OwnershipTable freezes it into an OwnedEntry).
 struct OwnedPrefix {
   net::Prefix prefix;
   /// ASNs allowed to originate this prefix (usually one; anycast/multi-
@@ -93,7 +97,25 @@ struct TenantInfo {
   TenantId id = kDefaultTenantId;
   std::string name;
   MitigationPolicy mitigation;
+  /// True only for the tenant the v1 entry points create (Config's
+  /// single-operator calls, an empty config's snapshot). Its alerts keep
+  /// the unlabeled pre-multi-tenant format; an explicit tenant, even one
+  /// named "default", is labeled.
+  bool implicit = false;
 };
+
+/// One owned prefix as the table stores it: the fields every
+/// classification reads, in one 32-byte record (two per cache line).
+/// Further origins and the neighbors live in the table's ASN arena
+/// (OwnershipTable::legitimate_origin / legitimate_neighbors).
+struct alignas(32) OwnedEntry {
+  net::Prefix prefix;
+  TenantId tenant = kDefaultTenantId;
+  /// The smallest legitimate origin: the common single-origin case never
+  /// leaves this record.
+  bgp::Asn first_origin = bgp::kNoAsn;
+};
+static_assert(sizeof(OwnedEntry) == 32);
 
 /// POD lookup result: which owned entry matched and whose it is. Only
 /// meaningful against the OwnershipTable that produced it (entry indexes
@@ -111,14 +133,16 @@ struct OwnershipRef {
 /// The immutable multi-tenant snapshot. Construct via Config::build_table
 /// (or the constructor, for synthetic benches), then share freely:
 /// every member is const after construction, so concurrent readers need
-/// no synchronization — publication order is the OwnershipStore's (or
-/// the pipeline barrier's) business.
+/// no synchronization — publication order is the pipeline barrier's
+/// business (ShardedDetector::reload).
 class OwnershipTable {
  public:
-  /// Freezes `owned` (each entry's `tenant` field must index `tenants`)
-  /// and `tenants` (entry i must carry id i) into a snapshot. The trie
-  /// is built here — the one cold allocation-heavy step of a reload.
-  OwnershipTable(std::vector<OwnedPrefix> owned, std::vector<TenantInfo> tenants);
+  /// Freezes `owned` (each entry's `tenant` field must index `tenants`,
+  /// and each needs at least one legitimate origin — throws
+  /// std::invalid_argument otherwise) and `tenants` (entry i must carry
+  /// id i) into a snapshot. The trie and the flat entries are built here
+  /// — the one cold allocation-heavy step of a reload.
+  OwnershipTable(std::span<const OwnedPrefix> owned, std::vector<TenantInfo> tenants);
 
   OwnershipTable(const OwnershipTable&) = delete;
   OwnershipTable& operator=(const OwnershipTable&) = delete;
@@ -149,11 +173,24 @@ class OwnershipTable {
 
   /// The entry a valid ref points at. No bounds check — a ref from a
   /// different table is the caller's bug.
-  const OwnedPrefix& entry(const OwnershipRef& ref) const {
-    return owned_[ref.entry];
+  const OwnedEntry& entry(const OwnershipRef& ref) const { return owned_[ref.entry]; }
+
+  /// True when `asn` may originate owned entry `entry` (an index into
+  /// owned()). Reads the arena only when `asn` is not the first origin.
+  bool legitimate_origin(std::uint32_t entry, bgp::Asn asn) const {
+    return owned_[entry].first_origin == asn || contains(extra_origins(entry), asn);
   }
 
-  const std::vector<OwnedPrefix>& owned() const { return owned_; }
+  /// The entry's legitimate origins after first_origin, ascending.
+  std::span<const bgp::Asn> extra_origins(std::uint32_t entry) const;
+
+  /// The entry's legitimate neighbors, ascending. Empty disables the
+  /// fake-first-hop check for it.
+  std::span<const bgp::Asn> legitimate_neighbors(std::uint32_t entry) const;
+
+  /// Every owned entry, in insertion order (a shadowed duplicate prefix
+  /// keeps its slot; the trie points at the later one).
+  const std::vector<OwnedEntry>& owned() const { return owned_; }
   bool empty() const { return owned_.empty(); }
 
   const std::vector<TenantInfo>& tenants() const { return tenants_; }
@@ -176,34 +213,20 @@ class OwnershipTable {
   std::uint64_t version() const { return version_; }
 
  private:
-  std::vector<OwnedPrefix> owned_;
+  static bool contains(std::span<const bgp::Asn> sorted, bgp::Asn asn);
+
+  std::vector<OwnedEntry> owned_;
+  /// Per entry: offset of its extras in asns_, 0 when it has none (the
+  /// single-origin, no-neighbor case). At an offset o: asns_[o] is the
+  /// extra-origin count k, asns_[o + 1] the neighbor count n, then k
+  /// origins, then n neighbors.
+  std::vector<std::uint32_t> extras_;
+  std::vector<bgp::Asn> asns_;  ///< the arena; asns_[0] is unused
   std::vector<TenantInfo> tenants_;
   net::PrefixTrie<std::uint32_t> index_;  ///< prefix -> index into owned_
   MitigationPolicy fallback_policy_;
   bool any_auto_mitigate_ = false;
   std::uint64_t version_ = 0;
-};
-
-/// Epoch-published snapshot holder: the reload seam. publish() swaps the
-/// current table under a mutex and bumps a relaxed epoch counter;
-/// snapshot() hands out the current shared_ptr. Readers poll epoch() —
-/// one relaxed load — to learn that a newer snapshot exists, then call
-/// snapshot() (mutex, cold) to fetch it at their next batch boundary.
-class OwnershipStore {
- public:
-  explicit OwnershipStore(std::shared_ptr<const OwnershipTable> initial);
-
-  std::shared_ptr<const OwnershipTable> snapshot() const;
-  void publish(std::shared_ptr<const OwnershipTable> table);
-
-  /// Bumped once per publish. Relaxed — pair with snapshot() for the
-  /// data; the epoch only says "go look".
-  std::uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
-
- private:
-  mutable std::mutex mutex_;
-  std::shared_ptr<const OwnershipTable> table_;
-  std::atomic<std::uint64_t> epoch_{0};
 };
 
 }  // namespace artemis::core

@@ -5,7 +5,10 @@
 namespace artemis::feeds {
 
 BatchFeed::BatchFeed(sim::Network& network, BatchFeedParams params, Rng rng)
-    : network_(network), params_(std::move(params)), rng_(rng) {
+    : network_(network),
+      params_(std::move(params)),
+      source_(intern_source(params_.name)),
+      rng_(rng) {
   if (params_.mode == BatchMode::kUpdates) {
     for (const auto vantage : params_.vantages) {
       network_.speaker(vantage).add_change_tap(
@@ -102,7 +105,7 @@ void BatchFeed::deliver_file(std::vector<std::uint8_t> mrt_bytes, SimTime availa
         case mrt::ElemType::kWithdraw: obs.type = ObservationType::kWithdrawal; break;
         case mrt::ElemType::kRibEntry: obs.type = ObservationType::kRouteState; break;
       }
-      obs.source = params_.name;
+      obs.source = source_;
       obs.vantage = elem.peer_asn;
       obs.prefix = elem.prefix;
       obs.attrs = elem.attrs;

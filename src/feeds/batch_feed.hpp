@@ -66,6 +66,7 @@ class BatchFeed {
 
   sim::Network& network_;
   BatchFeedParams params_;
+  SourceId source_;  ///< params_.name, interned
   Rng rng_;
   ObservationFanout fanout_;
   /// MRT bytes accumulated in the current window (kUpdates mode).

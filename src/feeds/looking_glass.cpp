@@ -21,10 +21,11 @@ void LookingGlass::query(const net::Prefix& prefix, QueryCallback callback) {
     const auto& speaker = network_.speaker(lg_asn);
     const SimTime now = network_.simulator().now();
 
+    const SourceId source = intern_source("lg-as" + std::to_string(lg_asn));
     auto emit = [&](const bgp::Route& route) {
       Observation obs;
       obs.type = ObservationType::kRouteState;
-      obs.source = "lg-as" + std::to_string(lg_asn);
+      obs.source = source;
       obs.vantage = lg_asn;
       obs.prefix = route.prefix;
       obs.attrs = route.attrs;
@@ -60,7 +61,10 @@ void LookingGlass::query(const net::Prefix& prefix, QueryCallback callback) {
 PeriscopeClient::PeriscopeClient(sim::Network& network,
                                  std::vector<LookingGlassParams> glasses,
                                  PeriscopeParams params, Rng rng)
-    : network_(network), params_(std::move(params)), rng_(rng) {
+    : network_(network),
+      params_(std::move(params)),
+      source_(intern_source(params_.name)),
+      rng_(rng) {
   for (const auto& glass_params : glasses) {
     glasses_.push_back(std::make_unique<LookingGlass>(
         network_, glass_params,
@@ -127,7 +131,7 @@ void PeriscopeClient::poll(std::size_t glass_index) {
       // whole answer as one batch.
       const SimTime now = network_.simulator().now();
       for (auto& obs : results) {
-        obs.source = params_.name;
+        obs.source = source_;
         obs.delivered_at = now;
       }
       fanout_.emit(results);

@@ -93,6 +93,7 @@ class PeriscopeClient {
 
   sim::Network& network_;
   PeriscopeParams params_;
+  SourceId source_;  ///< params_.name, interned
   Rng rng_;
   std::vector<std::unique_ptr<LookingGlass>> glasses_;
   std::vector<SimDuration> poll_phase_;

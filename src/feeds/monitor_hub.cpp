@@ -1,25 +1,6 @@
 #include "feeds/monitor_hub.hpp"
 
-#include <algorithm>
-
 namespace artemis::feeds {
-
-std::vector<std::uint32_t>::const_iterator MonitorHub::name_lower_bound(
-    std::string_view source) const {
-  return std::lower_bound(
-      by_name_.begin(), by_name_.end(), source,
-      [this](std::uint32_t id, std::string_view s) { return sources_[id].name < s; });
-}
-
-std::uint32_t MonitorHub::intern(std::string_view source) {
-  const auto it = name_lower_bound(source);
-  if (it != by_name_.end() && sources_[*it].name == source) return *it;
-  const auto id = static_cast<std::uint32_t>(sources_.size());
-  sources_.push_back(SourceSlot{std::string(source), 0, nullptr});
-  by_name_.insert(it, id);
-  register_source_metric(sources_.back());
-  return id;
-}
 
 void MonitorHub::set_metrics(telemetry::MetricsRegistry* registry) {
   registry_ = registry;
@@ -29,17 +10,21 @@ void MonitorHub::set_metrics(telemetry::MetricsRegistry* registry) {
                          "Observations published through the monitor hub");
   batches_metric_ = registry_->counter(
       "artemis_hub_batches_total", "Batches published through the monitor hub");
-  // Sources interned before the registry arrived get their cells now.
-  for (auto& slot : sources_) register_source_metric(slot);
+  // Sources seen before the registry arrived get their cells now.
+  for (std::size_t id = 0; id < sources_.size(); ++id) {
+    if (sources_[id].count != 0) register_source_metric(static_cast<SourceId>(id));
+  }
 }
 
-void MonitorHub::register_source_metric(SourceSlot& slot) {
+void MonitorHub::register_source_metric(SourceId id) {
+  SourceSlot& slot = sources_[id];
   if (registry_ == nullptr || slot.metric != nullptr) return;
   // Label values are monitor names (ris-live, bgpmon, ...); escape the
   // two characters Prometheus label syntax reserves, just in case.
+  const std::string_view name = source_name(id);
   std::string escaped;
-  escaped.reserve(slot.name.size());
-  for (const char c : slot.name) {
+  escaped.reserve(name.size());
+  for (const char c : name) {
     if (c == '\\' || c == '"') escaped.push_back('\\');
     escaped.push_back(c);
   }
@@ -56,13 +41,19 @@ void MonitorHub::publish_batch(std::span<const Observation> batch) {
     observations_metric_->add(batch.size());
     batches_metric_->add();
   }
-  // One interned lookup per run of equal source names. Feed batches are
-  // single-source, so this is one lookup per batch, not per observation.
+  // One counter add per run of equal sources (feed batches are single-
+  // source; an MRT import interleaves its peers).
   std::size_t i = 0;
   while (i < batch.size()) {
+    const SourceId id = batch[i].source;
     std::size_t j = i + 1;
-    while (j < batch.size() && batch[j].source == batch[i].source) ++j;
-    SourceSlot& slot = sources_[intern(batch[i].source)];
+    while (j < batch.size() && batch[j].source == id) ++j;
+    if (id >= sources_.size()) sources_.resize(std::size_t{id} + 1);
+    SourceSlot& slot = sources_[id];
+    if (slot.count == 0) {
+      ++seen_sources_;
+      register_source_metric(id);
+    }
     slot.count += j - i;
     if (slot.metric != nullptr) slot.metric->add(j - i);
     i = j;
@@ -88,14 +79,20 @@ ObservationHandler MonitorHub::inlet() {
 
 std::map<std::string, std::uint64_t> MonitorHub::per_source_counts() const {
   std::map<std::string, std::uint64_t> out;
-  for (const auto& slot : sources_) out.emplace(slot.name, slot.count);
+  for (std::size_t id = 0; id < sources_.size(); ++id) {
+    if (sources_[id].count == 0) continue;
+    out.emplace(source_name(static_cast<SourceId>(id)), sources_[id].count);
+  }
   return out;
 }
 
 std::uint64_t MonitorHub::source_count(std::string_view source) const {
-  const auto it = name_lower_bound(source);
-  if (it == by_name_.end() || sources_[*it].name != source) return 0;
-  return sources_[*it].count;
+  for (std::size_t id = 0; id < sources_.size(); ++id) {
+    if (sources_[id].count != 0 && source_name(static_cast<SourceId>(id)) == source) {
+      return sources_[id].count;
+    }
+  }
+  return 0;
 }
 
 }  // namespace artemis::feeds

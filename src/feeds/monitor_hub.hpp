@@ -9,11 +9,11 @@
 // The hub is batch-native: feeds deliver whole batches (one RIS message,
 // one decoded MRT file, one looking-glass answer) via publish_batch();
 // publish() is a thin span-of-one shim for per-observation call sites.
-// Per-source accounting uses an interned source-id table (sorted flat
-// index + flat counter vector), so the steady state does one string
-// binary-search per *run of equal sources* — typically once per batch —
-// and never touches a red-black tree. Steady-state publish_batch performs
-// no heap allocations (a new source name allocates once, on interning).
+// Per-source accounting is a flat counter vector indexed by the
+// observations' SourceId, so the steady state does one integer compare
+// per observation and one indexed add per *run of equal sources* — no
+// string is touched. Steady-state publish_batch performs no heap
+// allocations (a source id beyond the vector grows it once).
 #pragma once
 
 #include <cstdint>
@@ -58,40 +58,30 @@ class MonitorHub {
   /// materialized on demand — the hot path only maintains the flat table.
   std::map<std::string, std::uint64_t> per_source_counts() const;
 
-  /// Allocation-free count lookup for one source (0 if never seen).
+  /// Count lookup for one source (0 if never seen). Does not intern.
   std::uint64_t source_count(std::string_view source) const;
 
   /// Number of distinct sources seen so far.
-  std::size_t source_table_size() const { return sources_.size(); }
+  std::size_t source_table_size() const { return seen_sources_; }
 
   /// Attaches a metrics registry: the hub registers one labeled
-  /// per-source counter per interned source (on interning, which already
+  /// per-source counter per source on its first batch (which already
   /// allocates) plus stream totals. The registry must outlive the hub.
   /// Steady-state publish_batch stays allocation-free — counter cells
   /// are plain pre-registered atomics.
   void set_metrics(telemetry::MetricsRegistry* registry);
 
  private:
-  /// Binary search over the sorted id index (string_view compares, no
-  /// allocation); shared by intern() and source_count().
-  std::vector<std::uint32_t>::const_iterator name_lower_bound(
-      std::string_view source) const;
-
-  /// Returns the id for `source`, interning it on first sight; a miss
-  /// appends one slot and inserts its index.
-  std::uint32_t intern(std::string_view source);
-
   struct SourceSlot {
-    std::string name;
     std::uint64_t count = 0;
     telemetry::Counter* metric = nullptr;  ///< per-source labeled cell
   };
 
-  /// Registers the labeled telemetry cell for one slot (no-op without a
-  /// registry).
-  void register_source_metric(SourceSlot& slot);
-  std::vector<SourceSlot> sources_;    ///< id -> slot, insertion order
-  std::vector<std::uint32_t> by_name_; ///< ids sorted by slot name
+  /// Registers the labeled telemetry cell for source `id` (no-op without
+  /// a registry).
+  void register_source_metric(SourceId id);
+  std::vector<SourceSlot> sources_;  ///< index == SourceId; count 0 = unseen
+  std::size_t seen_sources_ = 0;
   ObservationFanout fanout_;
   std::uint64_t total_ = 0;
   telemetry::MetricsRegistry* registry_ = nullptr;

@@ -13,13 +13,19 @@ std::string_view to_string(ObservationType t) {
 
 std::string Observation::to_string() const {
   std::string out(feeds::to_string(type));
-  out += " " + prefix.to_string();
-  out += " via AS" + std::to_string(vantage);
+  out += ' ';
+  out += prefix.to_string();
+  out += " via AS";
+  out += std::to_string(vantage);
   if (type != ObservationType::kWithdrawal) {
-    out += " path [" + attrs.as_path.to_string() + "]";
+    out += " path [";
+    out += attrs.as_path.to_string();
+    out += ']';
   }
-  out += " src=" + source;
-  out += " lag=" + feed_lag().to_string();
+  out += " src=";
+  out += source_name(source);
+  out += " lag=";
+  out += feed_lag().to_string();
   return out;
 }
 

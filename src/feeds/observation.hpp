@@ -14,6 +14,7 @@
 #include <type_traits>
 
 #include "bgp/route.hpp"
+#include "feeds/source_table.hpp"
 #include "netbase/prefix.hpp"
 #include "util/time.hpp"
 
@@ -30,8 +31,9 @@ std::string_view to_string(ObservationType t);
 struct Observation {
   ObservationType type = ObservationType::kAnnouncement;
   /// Which feed produced this ("ris-live", "bgpmon", "periscope",
-  /// "batch-updates", "batch-rib"). Benches group by this label.
-  std::string source;
+  /// "batch-updates", "batch-rib"), as an id in SourceTable::global().
+  /// Benches group by this label; source_name() recovers the text.
+  SourceId source = kNoSource;
   /// The vantage-point AS whose view this is.
   bgp::Asn vantage = bgp::kNoAsn;
   net::Prefix prefix;
@@ -49,8 +51,8 @@ struct Observation {
 
 // Feeds hand observations between pipeline stages by span and move them
 // into queues; a throwing move would tear a batch in half, so the hot
-// handoff relies on this holding for every member (string, path vector,
-// prefix, timestamps).
+// handoff relies on this holding for every member (path vector, prefix,
+// timestamps).
 static_assert(std::is_nothrow_move_constructible_v<Observation>);
 static_assert(std::is_nothrow_move_assignable_v<Observation>);
 

@@ -5,7 +5,10 @@
 namespace artemis::feeds {
 
 StreamFeed::StreamFeed(sim::Network& network, StreamFeedParams params, Rng rng)
-    : network_(network), params_(std::move(params)), rng_(rng) {
+    : network_(network),
+      params_(std::move(params)),
+      source_(intern_source(params_.name)),
+      rng_(rng) {
   for (const auto vantage : params_.vantages) {
     network_.speaker(vantage).add_change_tap(
         [this, vantage](const bgp::UpdateMessage& update) {
@@ -42,7 +45,7 @@ void StreamFeed::on_vantage_update(bgp::Asn vantage, const bgp::UpdateMessage& u
   for (const auto& prefix : update.announced) {
     Observation& obs = message.emplace_back();
     obs.type = ObservationType::kAnnouncement;
-    obs.source = params_.name;
+    obs.source = source_;
     obs.vantage = vantage;
     obs.prefix = prefix;
     obs.attrs = update.attrs;
@@ -52,7 +55,7 @@ void StreamFeed::on_vantage_update(bgp::Asn vantage, const bgp::UpdateMessage& u
   for (const auto& prefix : update.withdrawn) {
     Observation& obs = message.emplace_back();
     obs.type = ObservationType::kWithdrawal;
-    obs.source = params_.name;
+    obs.source = source_;
     obs.vantage = vantage;
     obs.prefix = prefix;
     obs.event_time = event_time;

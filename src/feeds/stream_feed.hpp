@@ -63,6 +63,7 @@ class StreamFeed {
 
   sim::Network& network_;
   StreamFeedParams params_;
+  SourceId source_;  ///< params_.name, interned
   Rng rng_;
   ObservationFanout fanout_;
   std::uint64_t delivered_ = 0;

@@ -1,6 +1,5 @@
 #include "journal/codec.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 namespace artemis::journal {
@@ -42,20 +41,9 @@ bool get_u8(const std::uint8_t*& cursor, const std::uint8_t* end,
 // --------------------------------------------------------------- encoder
 
 void RecordEncoder::reset() {
+  for (const feeds::SourceId id : sources_) segment_ids_[id] = 0;
   sources_.clear();
-  by_name_.clear();
   prev_event_us_ = 0;
-}
-
-std::uint32_t RecordEncoder::intern(std::string_view source) {
-  const auto it = std::lower_bound(
-      by_name_.begin(), by_name_.end(), source,
-      [this](std::uint32_t id, std::string_view s) { return sources_[id] < s; });
-  if (it != by_name_.end() && sources_[*it] == source) return *it;
-  const auto id = static_cast<std::uint32_t>(sources_.size());
-  sources_.emplace_back(source);
-  by_name_.insert(it, id);
-  return id;
 }
 
 void RecordEncoder::encode(const feeds::Observation& obs,
@@ -63,12 +51,19 @@ void RecordEncoder::encode(const feeds::Observation& obs,
   scratch_.clear();
   scratch_.push_back(static_cast<std::uint8_t>(obs.type));
 
-  const std::size_t known_sources = sources_.size();
-  const std::uint32_t source_id = intern(obs.source);
-  put_varint(scratch_, source_id);
-  if (source_id == known_sources) {  // first sight: define inline
-    put_varint(scratch_, obs.source.size());
-    scratch_.insert(scratch_.end(), obs.source.begin(), obs.source.end());
+  if (obs.source >= segment_ids_.size()) {
+    segment_ids_.resize(std::size_t{obs.source} + 1);
+  }
+  std::uint32_t& slot = segment_ids_[obs.source];
+  if (slot != 0) {
+    put_varint(scratch_, slot - 1);
+  } else {  // first sight in this segment: define inline
+    put_varint(scratch_, sources_.size());
+    const std::string_view name = feeds::source_name(obs.source);
+    put_varint(scratch_, name.size());
+    scratch_.insert(scratch_.end(), name.begin(), name.end());
+    sources_.push_back(obs.source);
+    slot = static_cast<std::uint32_t>(sources_.size());
   }
 
   put_varint(scratch_, obs.vantage);
@@ -136,8 +131,8 @@ void RecordDecoder::decode(const std::uint8_t* payload, std::size_t size,
         length > static_cast<std::uint64_t>(end - cursor)) {
       malformed("source name");
     }
-    sources_.emplace_back(reinterpret_cast<const char*>(cursor),
-                          static_cast<std::size_t>(length));
+    sources_.push_back(feeds::intern_source(
+        {reinterpret_cast<const char*>(cursor), static_cast<std::size_t>(length)}));
     cursor += length;
   } else if (source_id > sources_.size()) {
     malformed("source id out of range");

@@ -7,7 +7,10 @@
 // small and usually positive), prefixes as only their meaningful
 // address bytes, and source names interned per segment (the first
 // occurrence carries the string inline; every later record spends one
-// or two bytes on the id).
+// or two bytes on the id). Segment ids are first-sight order within the
+// segment, so the bytes never depend on the process-wide SourceId order:
+// the encoder maps global to segment ids through a flat vector, and the
+// decoder maps back once per inline definition.
 //
 // Encoder and decoder are deliberately symmetric state machines: both
 // maintain (source table, previous event time), both reset() at segment
@@ -39,17 +42,15 @@ class RecordEncoder {
 
   std::size_t source_table_size() const { return sources_.size(); }
 
-  /// The interned source table, id order (== first-sight order). The
+  /// The segment's sources, segment-id order (== first-sight order). The
   /// writer snapshots this at seal time for the segment's index footer.
-  const std::vector<std::string>& sources() const { return sources_; }
+  const std::vector<feeds::SourceId>& sources() const { return sources_; }
 
  private:
-  /// Returns the id for `source`; ids are dense and assigned in first-
-  /// sight order, mirroring the decoder's reconstruction.
-  std::uint32_t intern(std::string_view source);
-
-  std::vector<std::string> sources_;    ///< id -> name, first-sight order
-  std::vector<std::uint32_t> by_name_;  ///< ids sorted by name
+  std::vector<feeds::SourceId> sources_;  ///< segment id -> global id
+  /// Global id -> segment id + 1 (0: not yet in this segment). Grows to
+  /// the largest global id seen; reset() clears only the used entries.
+  std::vector<std::uint32_t> segment_ids_;
   std::int64_t prev_event_us_ = 0;
   std::vector<std::uint8_t> scratch_;  ///< payload staging (framing needs its size)
 };
@@ -74,7 +75,7 @@ class RecordDecoder {
   bool last_payload_idempotent() const { return last_idempotent_; }
 
  private:
-  std::vector<std::string> sources_;  ///< id -> name, first-sight order
+  std::vector<feeds::SourceId> sources_;  ///< segment id -> global id
   std::int64_t prev_event_us_ = 0;
   std::vector<bgp::Asn> hops_;  ///< AS-path staging, capacity reused
   bool last_idempotent_ = false;

@@ -108,7 +108,8 @@ std::string index_path(const std::string& dir, std::uint64_t first_seq) {
 
 // ---------------------------------------------------------- QueryFilter
 
-bool QueryFilter::matches(const feeds::Observation& obs) const {
+bool QueryFilter::matches(const feeds::Observation& obs,
+                          feeds::SourceId source_id) const {
   const std::int64_t event_us = obs.event_time.as_micros();
   if (event_us < min_event_us || event_us > max_event_us) return false;
   if (prefix.has_value() && !prefix->overlaps(obs.prefix)) return false;
@@ -122,7 +123,7 @@ bool QueryFilter::matches(const feeds::Observation& obs) const {
     }
     if (!any) return false;
   }
-  if (!source.empty() && obs.source != source) return false;
+  if (source_id != feeds::kNoSource && obs.source != source_id) return false;
   if (origin != bgp::kNoAsn && obs.origin_as() != origin) return false;
   if (type.has_value() && obs.type != *type) return false;
   return true;
@@ -357,7 +358,7 @@ void SegmentIndexBuilder::add(const feeds::Observation& obs) {
 }
 
 SegmentIndex SegmentIndexBuilder::finalize(
-    const std::vector<std::string>& sources) const {
+    std::span<const feeds::SourceId> sources) const {
   SegmentIndex index;
   index.first_seq = first_seq_;
   index.record_count = record_count_;
@@ -367,7 +368,10 @@ SegmentIndex SegmentIndexBuilder::finalize(
     index.min_delivered_us = min_delivered_us_;
     index.max_delivered_us = max_delivered_us_;
   }
-  index.sources = sources;
+  index.sources.reserve(sources.size());
+  for (const feeds::SourceId id : sources) {
+    index.sources.emplace_back(feeds::source_name(id));
+  }
   index.bloom_hashes = bloom_.empty() ? 0 : kBloomHashes;
   index.bloom_bits = bloom_.empty() ? 0 : bloom_bits_;
   index.bloom = bloom_;
@@ -429,7 +433,7 @@ std::size_t build_missing_footers(const std::string& dir,
     const auto bytes = read_segment_bytes(path);
     if (!bytes.has_value() || bytes->size() < kSegmentHeaderSize) continue;
     builder.reset(seq);
-    std::vector<std::string> sources;
+    std::vector<feeds::SourceId> sources;
     try {
       const SegmentHeader header = SegmentHeader::decode(bytes->data(), path);
       if (header.version != kFormatVersion || header.first_seq != seq) continue;

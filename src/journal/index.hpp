@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,8 @@ struct QueryFilter {
   /// a config's owned prefixes here so footers prune segments that never
   /// mention owned space. Empty matches any.
   std::vector<net::Prefix> any_prefixes;
-  /// Exact source name ("mrt:AS1234"); empty matches any.
+  /// Exact source name ("mrt:AS1234"); empty matches any. Records carry
+  /// ids, so the record-level test takes this name resolved once.
   std::string source;
   /// Origin AS of the record's path; kNoAsn matches any.
   bgp::Asn origin = bgp::kNoAsn;
@@ -87,8 +89,15 @@ struct QueryFilter {
            origin == bgp::kNoAsn && !type.has_value();
   }
 
-  /// The record-level test (exact, no false positives).
-  bool matches(const feeds::Observation& obs) const;
+  /// `source` as a SourceId (kNoSource when empty). Interns the name:
+  /// resolve once per filter, not per record.
+  feeds::SourceId resolve_source() const {
+    return source.empty() ? feeds::kNoSource : feeds::intern_source(source);
+  }
+
+  /// The record-level test (exact, no false positives). `source_id` is
+  /// this filter's resolve_source().
+  bool matches(const feeds::Observation& obs, feeds::SourceId source_id) const;
 };
 
 // ----------------------------------------------------------- the footer
@@ -148,9 +157,10 @@ class SegmentIndexBuilder {
 
   std::uint64_t record_count() const { return record_count_; }
 
-  /// Snapshots the footer. `sources` is the segment's interned source
-  /// table (the record encoder already maintains exactly this set).
-  SegmentIndex finalize(const std::vector<std::string>& sources) const;
+  /// Snapshots the footer. `sources` is the segment's source table in
+  /// first-sight order (the record encoder already maintains exactly
+  /// this set); the footer stores their names.
+  SegmentIndex finalize(std::span<const feeds::SourceId> sources) const;
 
  private:
   std::uint64_t first_seq_ = 0;

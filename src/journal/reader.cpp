@@ -241,7 +241,7 @@ std::size_t JournalReader::read_batch(pipeline::ObservationBatch& out,
     // The record-level filter runs after decode (the decoder's delta
     // chain needs every record regardless); a rejected record leaves the
     // batch but all sequence and memo bookkeeping still advances.
-    const bool emit = !filtering_ || filter_.matches(slot);
+    const bool emit = !filtering_ || filter_.matches(slot, filter_source_);
     if (!emit) out.pop_back();
     prev_offset_ = static_cast<std::size_t>(payload - segment_.data);
     prev_length_ = static_cast<std::size_t>(length);

@@ -47,6 +47,7 @@ class JournalReader {
   /// as strict as an unfiltered read.
   void set_filter(QueryFilter filter) {
     filter_ = std::move(filter);
+    filter_source_ = filter_.resolve_source();
     filtering_ = !filter_.is_trivial();
   }
 
@@ -108,6 +109,7 @@ class JournalReader {
   bool first_segment_ = true;
   bool truncated_tail_ = false;
   QueryFilter filter_;
+  feeds::SourceId filter_source_ = feeds::kNoSource;  ///< filter_.resolve_source()
   bool filtering_ = false;
   std::uint64_t segments_scanned_ = 0;
   std::uint64_t segments_skipped_ = 0;

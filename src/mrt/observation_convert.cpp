@@ -90,29 +90,28 @@ std::uint32_t be32(const std::uint8_t* p) {
 }  // namespace
 
 ObservationConverter::ObservationConverter(ObservationConvertOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      single_source_(feeds::intern_source(options_.source_prefix)) {
   batch_.reserve(options_.batch_capacity);
 }
 
-const std::string& ObservationConverter::source_for(bgp::Asn peer) {
-  if (options_.source_scheme == ImportSourceScheme::kSingle) {
-    return options_.source_prefix;
-  }
+feeds::SourceId ObservationConverter::source_for(bgp::Asn peer) {
+  if (options_.source_scheme == ImportSourceScheme::kSingle) return single_source_;
   const auto it = std::lower_bound(
       sources_.begin(), sources_.end(), peer,
       [](const PeerSource& s, bgp::Asn p) { return s.peer < p; });
-  if (it != sources_.end() && it->peer == peer) return it->name;
-  PeerSource entry;
-  entry.peer = peer;
-  entry.name = options_.source_prefix + ":AS" + std::to_string(peer);
-  return sources_.insert(it, std::move(entry))->name;
+  if (it != sources_.end() && it->peer == peer) return it->source;
+  const feeds::SourceId source =
+      feeds::intern_source(options_.source_prefix + ":AS" + std::to_string(peer));
+  sources_.insert(it, PeerSource{peer, source});
+  return source;
 }
 
 feeds::Observation& ObservationConverter::slot(feeds::ObservationType type,
                                                bgp::Asn peer, std::int64_t event_us) {
   feeds::Observation& obs = batch_.emplace_back();
   obs.type = type;
-  obs.source = source_for(peer);  // copy-assign into recycled capacity
+  obs.source = source_for(peer);
   obs.vantage = peer;
   obs.event_time = SimTime::at_micros(event_us);
   obs.delivered_at = SimTime::at_micros(event_us + options_.delivery_lag.as_micros());

@@ -43,7 +43,7 @@
 namespace artemis::mrt {
 
 enum class ImportSourceScheme : std::uint8_t {
-  /// One interned source per collector peer: "<prefix>:AS<peer-asn>".
+  /// One source per collector peer: "<prefix>:AS<peer-asn>".
   /// Per-source stats and detection first-seen times then resolve per
   /// vantage session, like a live multi-feed deployment.
   kPerCollectorPeer,
@@ -87,7 +87,7 @@ class ObservationConverter {
 
   /// Streams one MRT file's bytes into `sink` (called once per full
   /// batch, plus once for the final partial batch). Cross-file state —
-  /// the monotone import clock, the interned source table — persists;
+  /// the monotone import clock, the per-peer source ids — persists;
   /// the TABLE_DUMP_V2 peer index resets per file, as the format
   /// requires. Never throws on truncated input (see ConvertFileStats).
   /// Equivalent to begin_file() + feed(data) + finish_file().
@@ -120,11 +120,11 @@ class ObservationConverter {
  private:
   struct PeerSource {
     bgp::Asn peer = bgp::kNoAsn;
-    std::string name;
+    feeds::SourceId source = feeds::kNoSource;
   };
 
-  /// Interned source name for a collector peer (kSingle: the prefix).
-  const std::string& source_for(bgp::Asn peer);
+  /// Source id for a collector peer (kSingle: the prefix's).
+  feeds::SourceId source_for(bgp::Asn peer);
   /// Appends one observation slot with the shared per-record fields set.
   feeds::Observation& slot(feeds::ObservationType type, bgp::Asn peer,
                            std::int64_t event_us);
@@ -142,6 +142,7 @@ class ObservationConverter {
   ObservationConvertOptions options_;
   pipeline::ObservationBatch batch_;
   std::vector<PeerSource> sources_;  ///< sorted by peer ASN
+  feeds::SourceId single_source_;     ///< options_.source_prefix, interned
   std::vector<bgp::Asn> peer_table_;
   bgp::PathAttributes scratch_attrs_;
   std::vector<bgp::Asn> hops_scratch_;

@@ -547,11 +547,16 @@ std::string_view to_string(ElemType t) {
 
 std::string BgpElem::to_string() const {
   std::string out(mrt::to_string(type));
-  out += "|" + timestamp.to_string();
-  out += "|AS" + std::to_string(peer_asn);
-  out += "|" + prefix.to_string();
+  out += '|';
+  out += timestamp.to_string();
+  out += "|AS";
+  out += std::to_string(peer_asn);
+  out += '|';
+  out += prefix.to_string();
   if (type != ElemType::kWithdraw) {
-    out += "|[" + attrs.as_path.to_string() + "]";
+    out += "|[";
+    out += attrs.as_path.to_string();
+    out += ']';
   }
   return out;
 }

@@ -4,8 +4,8 @@
 // Observations are stored contiguously (SoA-friendly: consumers stream
 // the hot fields — type, prefix, origin path — linearly through cache),
 // and clear() resets the logical size WITHOUT destroying elements: the
-// vector capacity and each recycled Observation's heap buffers (source
-// string, AS-path vector) survive, so a steady-state drain loop that
+// vector capacity and each recycled Observation's heap buffers (AS-path
+// and community vectors) survive, so a steady-state drain loop that
 // move-assigns popped observations into recycled slots performs no heap
 // allocations once warmed up. That is the zero-allocation contract the
 // worker loops in ShardedDetector rely on.

@@ -292,7 +292,7 @@ std::uint64_t ShardedDetector::observation_count(const core::AlertKey& key) cons
       ->service.observation_count(key);
 }
 
-const std::unordered_map<std::string, SimTime>* ShardedDetector::first_seen_by_source(
+const core::FirstSeenBySource* ShardedDetector::first_seen_by_source(
     const core::AlertKey& key) const {
   return shards_[shard_of(key.observed_prefix, shards_.size())]
       ->service.first_seen_by_source(key);

@@ -172,7 +172,7 @@ class ShardedDetector {
 
   /// Per-key queries delegate to the single shard that owns the key.
   std::uint64_t observation_count(const core::AlertKey& key) const;
-  const std::unordered_map<std::string, SimTime>* first_seen_by_source(
+  const core::FirstSeenBySource* first_seen_by_source(
       const core::AlertKey& key) const;
 
  private:

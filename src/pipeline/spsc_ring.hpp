@@ -13,7 +13,7 @@
 // producer applies backpressure by yielding); nothing is dropped.
 //
 // Handoff is by COPY-assignment on both sides, deliberately: a slot's
-// heap buffers (e.g. an Observation's source string / AS-path vector)
+// heap buffers (e.g. an Observation's AS-path vector)
 // are written only by the producer and reused push after push, and the
 // consumer's out-slot buffers likewise — so in steady state neither side
 // allocates and no buffer is ever freed on a thread other than the one

@@ -2,8 +2,9 @@
 //
 // Network owns one BgpSpeaker per AS, samples per-link propagation delays,
 // and carries updates between speakers with those delays plus a small
-// per-message processing jitter. It is the substitution for "the Internet"
-// in the paper's experiments (DESIGN.md, substitution table).
+// per-message processing jitter. It stands in for the real Internet the
+// paper's experiments ran on (through the PEERING testbed), over an AS
+// graph generated by src/topology/.
 #pragma once
 
 #include <memory>

@@ -19,8 +19,9 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
 std::string_view to_string(LogLevel level);
 
-/// Process-wide logging configuration. Not thread-safe by design: the
-/// simulator is single-threaded (see DESIGN.md).
+/// Process-wide logging configuration. Not thread-safe by design: it is
+/// set once at startup, and the simulator that logs through it runs on
+/// one thread.
 class Logging {
  public:
   using Sink = std::function<void(LogLevel, const std::string&)>;

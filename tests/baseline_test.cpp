@@ -78,7 +78,7 @@ core::Config victim_config() {
 feeds::Observation hijack_obs(double delivered_at) {
   feeds::Observation obs;
   obs.type = feeds::ObservationType::kAnnouncement;
-  obs.source = "batch-15m";
+  obs.source = feeds::intern_source("batch-15m");
   obs.vantage = 9;
   obs.prefix = net::Prefix::must_parse("10.0.0.0/23");
   obs.attrs.as_path = bgp::AsPath({9, 666});

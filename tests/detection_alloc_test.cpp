@@ -64,7 +64,7 @@ feeds::Observation make_obs(std::string_view prefix, std::vector<bgp::Asn> path,
                             std::string source, double at_seconds) {
   feeds::Observation obs;
   obs.type = feeds::ObservationType::kAnnouncement;
-  obs.source = std::move(source);
+  obs.source = feeds::intern_source(source);
   obs.vantage = 9;
   obs.prefix = net::Prefix::must_parse(prefix);
   obs.attrs.as_path = bgp::AsPath(std::move(path));
@@ -276,6 +276,42 @@ TEST(DetectionAllocTest, SteadyStateHubBatchFanOutIsAllocationFree) {
   EXPECT_EQ(after - before, 0u) << "steady-state MonitorHub::publish_batch allocated";
   EXPECT_EQ(hub.total_observations(), 8u * 10001u);
   EXPECT_EQ(hub.source_count("ris-live"), 8u * 10001u);
+}
+
+TEST(DetectionAllocTest, SteadyStateHubInterleavedSourcesIsAllocationFree) {
+  // An MRT import interleaves its collector peers record by record, so
+  // runs of one source are 1-3 long: the hub counts and detection records
+  // first-seen times per source id, never touching a name.
+  Config config;
+  OwnedPrefix owned;
+  owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
+  owned.legitimate_origins.insert(65001);
+  config.add_owned(std::move(owned));
+  DetectionService detector(config);
+  feeds::MonitorHub hub;
+  detector.attach(hub);
+
+  constexpr int kSources = 32;
+  std::vector<feeds::Observation> batch;
+  for (int i = 0; i < 256; ++i) {
+    const std::string source = "mrt:AS" + std::to_string(64512 + i % kSources);
+    batch.push_back(i % 4 == 0 ? make_obs("10.0.0.0/23", {9, 666}, source, 100 + i)
+                               : make_obs("10.0.0.0/24", {9, 65001}, source, 100 + i));
+  }
+  hub.publish_batch(batch);  // prime: hub slots, the record, first-seen list
+
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 2000; ++i) hub.publish_batch(batch);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "interleaved-source publish + process allocated";
+
+  EXPECT_EQ(hub.source_table_size(), static_cast<std::size_t>(kSources));
+  EXPECT_EQ(hub.source_count("mrt:AS64512"), 8u * 2001u);
+  ASSERT_EQ(detector.alerts().size(), 1u);
+  const auto* by_source = detector.first_seen_by_source(detector.alerts()[0].key());
+  ASSERT_NE(by_source, nullptr);
+  EXPECT_EQ(by_source->size(), static_cast<std::size_t>(kSources / 4));
+  EXPECT_EQ(by_source->at("mrt:AS64516"), SimTime::at_seconds(104));
 }
 
 TEST(DetectionAllocTest, SteadyStateJournalTapIsAllocationFree) {

@@ -20,7 +20,7 @@ feeds::Observation make_obs(std::string_view prefix, std::vector<bgp::Asn> path,
                             double at_seconds = 100.0) {
   feeds::Observation obs;
   obs.type = feeds::ObservationType::kAnnouncement;
-  obs.source = std::move(source);
+  obs.source = feeds::intern_source(source);
   obs.vantage = vantage;
   obs.prefix = net::Prefix::must_parse(prefix);
   obs.attrs.as_path = bgp::AsPath(std::move(path));

@@ -47,7 +47,7 @@ TEST(StreamFeedTest, DeliversObservationsWithLatency) {
   ASSERT_GE(received.size(), 2u);  // both vantages converged onto the route
   for (const auto& obs : received) {
     EXPECT_EQ(obs.type, ObservationType::kAnnouncement);
-    EXPECT_EQ(obs.source, "ris-live");
+    EXPECT_EQ(feeds::source_name(obs.source), "ris-live");
     EXPECT_EQ(obs.origin_as(), 3u);
     EXPECT_GT(obs.feed_lag(), SimDuration::zero());
     EXPECT_EQ(obs.delivered_at - obs.event_time, obs.feed_lag());
@@ -126,7 +126,7 @@ TEST(BatchFeedTest, UpdatesArriveOnlyAtWindowBoundaries) {
 
   sim.run_until(SimTime::at_seconds(15 * 60 + 61));
   ASSERT_FALSE(received.empty());
-  EXPECT_EQ(received.front().source, "batch-15m");
+  EXPECT_EQ(feeds::source_name(received.front().source), "batch-15m");
   EXPECT_EQ(received.front().type, ObservationType::kAnnouncement);
   EXPECT_EQ(received.front().origin_as(), 3u);
   // The event time survives the archive round-trip; the lag is the window.
@@ -264,7 +264,7 @@ TEST(PeriscopeTest, PollsAllGlassesEachInterval) {
   EXPECT_LE(client.queries_issued(), 18u);
   ASSERT_FALSE(received.empty());
   for (const auto& obs : received) {
-    EXPECT_EQ(obs.source, "periscope");
+    EXPECT_EQ(feeds::source_name(obs.source), "periscope");
     EXPECT_EQ(obs.type, ObservationType::kRouteState);
   }
 }
@@ -398,9 +398,9 @@ TEST(MonitorHubTest, FanOutAndCounters) {
   hub.subscribe([&](const Observation&) { ++a; });
   hub.subscribe([&](const Observation&) { ++b; });
   Observation obs;
-  obs.source = "ris-live";
+  obs.source = feeds::intern_source("ris-live");
   hub.publish(obs);
-  obs.source = "bgpmon";
+  obs.source = feeds::intern_source("bgpmon");
   hub.inlet()(obs);
   EXPECT_EQ(a, 2);
   EXPECT_EQ(b, 2);
@@ -412,7 +412,7 @@ TEST(MonitorHubTest, FanOutAndCounters) {
 TEST(ObservationTest, ToStringMentionsKeyFields) {
   Observation obs;
   obs.type = ObservationType::kAnnouncement;
-  obs.source = "ris-live";
+  obs.source = feeds::intern_source("ris-live");
   obs.vantage = 9;
   obs.prefix = net::Prefix::must_parse("10.0.0.0/23");
   obs.attrs.as_path = bgp::AsPath({9, 3});

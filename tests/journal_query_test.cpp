@@ -50,7 +50,7 @@ feeds::Observation make_obs(const std::string& prefix, bgp::Asn origin,
                                 feeds::ObservationType::kAnnouncement) {
   feeds::Observation obs;
   obs.type = type;
-  obs.source = source;
+  obs.source = feeds::intern_source(source);
   obs.vantage = 9;
   obs.prefix = net::Prefix::must_parse(prefix);
   if (type != feeds::ObservationType::kWithdrawal) {
@@ -145,7 +145,8 @@ TEST(SegmentIndexTest, EncodeDecodeRoundTrip) {
   };
   for (const auto& o : obs) builder.add(o);
   const SegmentIndex index =
-      builder.finalize({"ris-live", "bgpmon"});
+      builder.finalize(std::vector<feeds::SourceId>{feeds::intern_source("ris-live"),
+                                                    feeds::intern_source("bgpmon")});
 
   const auto bytes = index.encode();
   const auto decoded = SegmentIndex::decode(bytes.data(), bytes.size());
@@ -165,7 +166,8 @@ TEST(SegmentIndexTest, BloomAnswersOverlapNotEquality) {
   SegmentIndexBuilder builder;
   builder.reset(0);
   builder.add(make_obs("10.1.2.0/24", 666, "s", 1000.0));
-  const SegmentIndex index = builder.finalize({"s"});
+  const std::vector<feeds::SourceId> one_source{feeds::intern_source("s")};
+  const SegmentIndex index = builder.finalize(one_source);
 
   // Exact, covering, and covered query prefixes must all answer "maybe".
   EXPECT_TRUE(index.may_contain_prefix(net::Prefix::must_parse("10.1.2.0/24")));
@@ -187,7 +189,7 @@ TEST(SegmentIndexTest, BloomAnswersOverlapNotEquality) {
   SegmentIndexBuilder shorty;
   shorty.reset(0);
   shorty.add(make_obs("16.0.0.0/6", 666, "s", 1000.0));
-  const SegmentIndex marker = shorty.finalize({"s"});
+  const SegmentIndex marker = shorty.finalize(one_source);
   EXPECT_TRUE(marker.may_contain_prefix(net::Prefix::must_parse("192.0.2.0/24")));
 }
 
@@ -198,7 +200,8 @@ TEST(SegmentIndexTest, EverySingleByteFlipFailsDecode) {
     builder.add(make_obs("10.0." + std::to_string(i) + ".0/24", 666, "s",
                          1000.0 + i));
   }
-  auto bytes = builder.finalize({"s"}).encode();
+  auto bytes =
+      builder.finalize(std::vector<feeds::SourceId>{feeds::intern_source("s")}).encode();
   ASSERT_TRUE(SegmentIndex::decode(bytes.data(), bytes.size()).has_value());
 
   // The full corruption matrix: any one flipped byte — magic, version,
@@ -311,7 +314,7 @@ TEST(QuerySkipTest, SelectivePredicateScansOnlyFooterMatchingSegments) {
   std::vector<feeds::Observation> brute;
   while (reader.read_batch(buffer, 64) > 0) {
     for (const auto& obs : buffer) {
-      if (filter.matches(obs)) brute.push_back(obs);
+      if (filter.matches(obs, filter.resolve_source())) brute.push_back(obs);
     }
   }
   ASSERT_EQ(brute.size(), matches.size());
@@ -326,6 +329,29 @@ TEST(QuerySkipTest, SelectivePredicateScansOnlyFooterMatchingSegments) {
   EXPECT_EQ(scanned, 1u);
   EXPECT_EQ(skipped, 7u);
   EXPECT_EQ(sourced.size(), batches[3].size());
+  std::size_t brute_sourced = 0;
+  for (const auto& batch : batches) {
+    for (const auto& obs : batch) {
+      brute_sourced += by_source.matches(obs, by_source.resolve_source()) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(brute_sourced, sourced.size());
+}
+
+TEST(QueryFilterTest, SourceTermComparesTheResolvedId) {
+  QueryFilter filter;
+  filter.source = "src-wanted";
+  EXPECT_FALSE(filter.is_trivial());
+  const feeds::SourceId wanted = filter.resolve_source();
+  EXPECT_EQ(wanted, feeds::intern_source("src-wanted"));
+  EXPECT_TRUE(filter.matches(make_obs("10.1.2.0/24", 666, "src-wanted", 1000.0), wanted));
+  EXPECT_FALSE(filter.matches(make_obs("10.1.2.0/24", 666, "src-other", 1000.0), wanted));
+  // A prefix of the name is a different source.
+  EXPECT_FALSE(filter.matches(make_obs("10.1.2.0/24", 666, "src-want", 1000.0), wanted));
+  // No source term: every source passes.
+  EXPECT_EQ(QueryFilter{}.resolve_source(), feeds::kNoSource);
+  EXPECT_TRUE(QueryFilter{}.matches(make_obs("10.1.2.0/24", 666, "src-other", 1000.0),
+                                    feeds::kNoSource));
 }
 
 TEST(QuerySkipTest, SkipPreservesSequenceGapDetection) {
@@ -349,19 +375,19 @@ TEST(AnyPrefixesTest, RecordTermMatchesAnyOverlapAndAndsWithOtherTerms) {
   EXPECT_FALSE(filter.is_trivial());
 
   // Overlap with AT LEAST ONE candidate: covered, covering, or exact.
-  EXPECT_TRUE(filter.matches(make_obs("10.1.2.0/24", 666, "s", 1000.0)));
-  EXPECT_TRUE(filter.matches(make_obs("10.0.0.0/8", 666, "s", 1000.0)));
-  EXPECT_TRUE(filter.matches(make_obs("192.0.2.128/25", 666, "s", 1000.0)));
+  EXPECT_TRUE(filter.matches(make_obs("10.1.2.0/24", 666, "s", 1000.0), feeds::kNoSource));
+  EXPECT_TRUE(filter.matches(make_obs("10.0.0.0/8", 666, "s", 1000.0), feeds::kNoSource));
+  EXPECT_TRUE(filter.matches(make_obs("192.0.2.128/25", 666, "s", 1000.0), feeds::kNoSource));
   // No candidate overlaps: the record is filtered out.
-  EXPECT_FALSE(filter.matches(make_obs("10.2.0.0/16", 666, "s", 1000.0)));
-  EXPECT_FALSE(filter.matches(make_obs("198.51.100.0/24", 666, "s", 1000.0)));
+  EXPECT_FALSE(filter.matches(make_obs("10.2.0.0/16", 666, "s", 1000.0), feeds::kNoSource));
+  EXPECT_FALSE(filter.matches(make_obs("198.51.100.0/24", 666, "s", 1000.0), feeds::kNoSource));
 
   // ANDed with every other term, not ORed: a type term still applies to
   // records that pass the any-overlap test.
   filter.type = feeds::ObservationType::kWithdrawal;
-  EXPECT_FALSE(filter.matches(make_obs("10.1.2.0/24", 666, "s", 1000.0)));
+  EXPECT_FALSE(filter.matches(make_obs("10.1.2.0/24", 666, "s", 1000.0), feeds::kNoSource));
   EXPECT_TRUE(filter.matches(make_obs("10.1.2.0/24", 666, "s", 1000.0,
-                                      feeds::ObservationType::kWithdrawal)));
+                                      feeds::ObservationType::kWithdrawal), feeds::kNoSource));
 }
 
 TEST(AnyPrefixesTest, FooterPrunesSegmentsNoCandidateCanTouch) {

@@ -256,7 +256,7 @@ TEST(JournalReplayTest, ReplayChunkSizeDoesNotChangeTheOutcome) {
     for (int i = 0; i < kCount; ++i) {
       feeds::Observation obs;
       obs.type = feeds::ObservationType::kAnnouncement;
-      obs.source = (i % 2) != 0 ? "ris-live" : "bgpmon";
+      obs.source = feeds::intern_source((i % 2) != 0 ? "ris-live" : "bgpmon");
       obs.vantage = 9;
       obs.prefix = (i % 5) == 0 ? net::Prefix::must_parse("10.0.0.0/23")
                                 : net::Prefix::must_parse("203.0.113.0/24");
@@ -314,7 +314,7 @@ TEST(JournalReplayTest, RecordedFramingReproducesExactBatchBoundaries) {
       for (std::size_t i = 0; i < size; ++i) {
         feeds::Observation obs;
         obs.type = feeds::ObservationType::kAnnouncement;
-        obs.source = (i % 2) != 0 ? "ris-live" : "bgpmon";
+        obs.source = feeds::intern_source((i % 2) != 0 ? "ris-live" : "bgpmon");
         obs.vantage = 9;
         obs.prefix = net::Prefix::must_parse("203.0.113.0/24");
         obs.attrs.as_path = bgp::AsPath({9, 65001});
@@ -388,7 +388,7 @@ TEST(JournalReplayTest, TornOrLyingFramesSidecarNeverLosesRecords) {
       for (std::size_t i = 0; i < size; ++i) {
         feeds::Observation obs;
         obs.type = feeds::ObservationType::kAnnouncement;
-        obs.source = "ris-live";
+        obs.source = feeds::intern_source("ris-live");
         obs.vantage = 9;
         obs.prefix = net::Prefix::must_parse("203.0.113.0/24");
         obs.attrs.as_path = bgp::AsPath({9, 65001});

@@ -45,8 +45,8 @@ feeds::Observation random_observation(Rng& rng, double& clock_s) {
       "ris-live", "bgpmon", "periscope", "batch-updates", "batch-rib"};
   feeds::Observation obs;
   obs.type = static_cast<feeds::ObservationType>(rng.uniform_int(0, 2));
-  obs.source = sources[static_cast<std::size_t>(
-      rng.uniform_int(0, static_cast<std::int64_t>(sources.size()) - 1))];
+  obs.source = feeds::intern_source(sources[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(sources.size()) - 1))]);
   obs.vantage = static_cast<bgp::Asn>(rng.uniform_int(1, 1 << 20));
   if (rng.uniform_int(0, 4) == 0) {  // ~20% IPv6
     obs.prefix = net::Prefix(
@@ -212,6 +212,82 @@ TEST(JournalWriterTest, RoundTripsThroughDisk) {
   }
   EXPECT_FALSE(reader.truncated_tail());
   EXPECT_EQ(reader.records_read(), stream.size());
+}
+
+TEST(JournalWriterTest, SegmentBytesDoNotDependOnGlobalSourceIds) {
+  // Two writers in one process share the process-wide SourceTable but
+  // each segment numbers its sources in its own first-sight order. The
+  // names are interned in reverse, so global ids run against first-sight
+  // order; the writers' appends interleave record by record.
+  const std::vector<std::string> names = {"two-writer-a", "two-writer-b",
+                                          "two-writer-c"};
+  for (auto it = names.rbegin(); it != names.rend(); ++it) feeds::intern_source(*it);
+  ASSERT_GT(feeds::intern_source(names[0]), feeds::intern_source(names[2]));
+
+  // Writer 1 first sees a, b, c; writer 2 first sees c, a, b.
+  const auto x = random_stream(7, 300);
+  auto stream_for = [&](const std::vector<std::size_t>& order) {
+    auto stream = x;
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      stream[i].source = feeds::intern_source(names[order[i % 3]]);
+    }
+    return stream;
+  };
+  const auto one = stream_for({0, 1, 2});
+  const auto two = stream_for({2, 0, 1});
+  const std::string dir1 = make_temp_dir("two_writers_1");
+  const std::string dir2 = make_temp_dir("two_writers_2");
+  {
+    JournalWriter writer1(dir1);
+    JournalWriter writer2(dir2);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      writer1.append(one[i]);
+      writer2.append(two[i]);
+    }
+  }
+
+  const auto read_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in), {});
+  };
+  for (const auto& [dir, stream] : {std::pair{dir1, one}, std::pair{dir2, two}}) {
+    // Record i carries segment id i % 3 (each stream cycles three
+    // sources), and only the first three records define a name inline.
+    const auto bytes = read_bytes(first_segment(dir));
+    ASSERT_GT(bytes.size(), kSegmentHeaderSize);
+    const std::uint8_t* cursor = bytes.data() + kSegmentHeaderSize;
+    const std::uint8_t* const end = bytes.data() + bytes.size();
+    const std::uint8_t* payload = nullptr;
+    std::uint64_t length = 0;
+    std::size_t index = 0;
+    while (next_frame(cursor, end, payload, length)) {
+      const std::uint8_t* field = payload + 1;  // past the type byte
+      std::uint64_t segment_id = 0;
+      ASSERT_TRUE(get_varint(field, payload + length, segment_id));
+      EXPECT_EQ(segment_id, index % 3) << dir << " record " << index;
+      if (index < 3) {
+        std::uint64_t name_length = 0;
+        ASSERT_TRUE(get_varint(field, payload + length, name_length));
+        EXPECT_EQ(std::string(reinterpret_cast<const char*>(field), name_length),
+                  feeds::source_name(stream[index].source));
+      }
+      ++index;
+    }
+    EXPECT_EQ(index, stream.size());
+
+    JournalReader reader(dir);
+    const auto decoded = read_all(reader);
+    ASSERT_EQ(decoded.size(), stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      expect_same_observation(decoded[i], stream[i], i);
+    }
+  }
+
+  // Writing stream one alone gives the same bytes as writing it
+  // interleaved with writer 2.
+  const std::string dir3 = make_temp_dir("two_writers_3");
+  write_journal(dir3, one, {}, 1);
+  EXPECT_EQ(read_bytes(first_segment(dir3)), read_bytes(first_segment(dir1)));
 }
 
 TEST(JournalWriterTest, RotatesSegmentsAndReaderStitchesThem) {

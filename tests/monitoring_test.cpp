@@ -22,7 +22,7 @@ feeds::Observation obs(bgp::Asn vantage, std::string_view prefix,
                            feeds::ObservationType::kAnnouncement) {
   feeds::Observation o;
   o.type = type;
-  o.source = "test";
+  o.source = feeds::intern_source("test");
   o.vantage = vantage;
   o.prefix = net::Prefix::must_parse(prefix);
   o.attrs.as_path = bgp::AsPath(std::move(path));

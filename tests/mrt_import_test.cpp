@@ -169,7 +169,7 @@ std::vector<feeds::Observation> elem_reader_adapter(std::span<const std::uint8_t
       case ElemType::kWithdraw: obs.type = feeds::ObservationType::kWithdrawal; break;
       case ElemType::kRibEntry: obs.type = feeds::ObservationType::kRouteState; break;
     }
-    obs.source = "mrt:AS" + std::to_string(elem.peer_asn);
+    obs.source = feeds::intern_source("mrt:AS" + std::to_string(elem.peer_asn));
     obs.vantage = elem.peer_asn;
     obs.prefix = elem.prefix;
     obs.attrs = elem.attrs;
@@ -308,7 +308,7 @@ TEST(MrtConvertTest, SourceSchemes) {
     ObservationConverter converter;  // default: per collector peer
     const auto obs = convert_to_vector(converter, bytes);
     ASSERT_EQ(obs.size(), 1u);
-    EXPECT_EQ(obs[0].source, "mrt:AS9");
+    EXPECT_EQ(feeds::source_name(obs[0].source), "mrt:AS9");
     EXPECT_EQ(converter.source_table_size(), 1u);
   }
   {
@@ -318,7 +318,7 @@ TEST(MrtConvertTest, SourceSchemes) {
     ObservationConverter converter(options);
     const auto obs = convert_to_vector(converter, bytes);
     ASSERT_EQ(obs.size(), 1u);
-    EXPECT_EQ(obs[0].source, "routeviews");
+    EXPECT_EQ(feeds::source_name(obs[0].source), "routeviews");
     EXPECT_EQ(converter.source_table_size(), 0u);
   }
 }

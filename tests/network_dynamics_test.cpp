@@ -198,7 +198,7 @@ TEST(MultiPrefixTest, DetectionKeepsPerPrefixGroundTruth) {
     feeds::Observation o;
     o.type = feeds::ObservationType::kAnnouncement;
     o.vantage = 9;
-    o.source = "test";
+    o.source = feeds::intern_source("test");
     o.prefix = net::Prefix::must_parse(prefix);
     o.attrs.as_path = bgp::AsPath({9, origin});
     return o;
@@ -223,7 +223,7 @@ TEST(Ipv6Test, DetectionAndPlanningWorkOnV6Prefixes) {
   feeds::Observation obs;
   obs.type = feeds::ObservationType::kAnnouncement;
   obs.vantage = 9;
-  obs.source = "test";
+  obs.source = feeds::intern_source("test");
   obs.prefix = net::Prefix::must_parse("2001:db8::/32");
   obs.attrs.as_path = bgp::AsPath({9, 666});
   detector.process(obs);

@@ -1,9 +1,16 @@
 // The multi-tenant ownership API: frozen tables, tenant-scoped refs,
-// schema v2 configs, epoch publication, and tenant-scoped alerting.
+// schema v2 configs, and tenant-scoped alerting.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <set>
+#include <tuple>
 
 #include "artemis/detection.hpp"
 #include "artemis/ownership.hpp"
+#include "util/rng.hpp"
 
 namespace artemis::core {
 namespace {
@@ -32,7 +39,7 @@ feeds::Observation make_obs(std::string_view prefix, std::vector<bgp::Asn> path,
                             double at_seconds = 100.0) {
   feeds::Observation obs;
   obs.type = feeds::ObservationType::kAnnouncement;
-  obs.source = std::move(source);
+  obs.source = feeds::intern_source(source);
   obs.vantage = vantage;
   obs.prefix = net::Prefix::must_parse(prefix);
   obs.attrs.as_path = bgp::AsPath(std::move(path));
@@ -138,18 +145,153 @@ TEST(OwnershipTableTest, EmptyConfigStillResolvesDefaultTenant) {
   EXPECT_TRUE(table->policy(kDefaultTenantId).auto_mitigate);
 }
 
-TEST(OwnershipStoreTest, PublishBumpsEpochAndSwapsSnapshot) {
-  const Config config = two_tenant_config();
-  OwnershipStore store(config.build_table());
-  const auto first = store.snapshot();
-  const auto epoch0 = store.epoch();
+// ------------------------------------------------- flat-entry oracle
 
-  store.publish(config.build_table());
-  EXPECT_EQ(store.epoch(), epoch0 + 1);
-  const auto second = store.snapshot();
-  EXPECT_NE(first.get(), second.get());
-  // The old snapshot stays valid for readers that captured it.
-  EXPECT_TRUE(first->match(net::Prefix::must_parse("10.0.0.0/23")));
+/// The classification the std::set-based entries gave: the detection
+/// rules evaluated against the declared OwnedPrefix the table's match
+/// resolves to. nullopt = no alert.
+std::optional<AlertKey> set_classify(const OwnershipTable& table, const Config& config,
+                                     const feeds::Observation& obs) {
+  const OwnershipRef ref = table.match(obs.prefix);
+  if (!ref) return std::nullopt;
+  const OwnedPrefix& owned = config.owned()[ref.entry];
+  const bgp::Asn origin = obs.origin_as();
+  const bool origin_ok = owned.legitimate_origins.contains(origin);
+  if (!origin_ok) {
+    if (obs.prefix == owned.prefix) {
+      return AlertKey{HijackType::kExactOrigin, obs.prefix, origin, owned.tenant};
+    }
+    if (owned.prefix.covers(obs.prefix)) {
+      return AlertKey{HijackType::kSubPrefix, obs.prefix, origin, owned.tenant};
+    }
+    if (obs.prefix.covers(owned.prefix)) {
+      return AlertKey{HijackType::kSuperPrefix, obs.prefix, origin, owned.tenant};
+    }
+  }
+  if (origin_ok && !owned.legitimate_neighbors.empty()) {
+    const bgp::Asn adjacent = obs.attrs.as_path.origin_neighbor();
+    if (adjacent != bgp::kNoAsn && !owned.legitimate_neighbors.contains(adjacent) &&
+        !owned.legitimate_origins.contains(adjacent)) {
+      return AlertKey{HijackType::kFakeFirstHop, obs.prefix, adjacent, owned.tenant};
+    }
+  }
+  return std::nullopt;
+}
+
+/// A random v4 prefix inside 10.0.0.0/12, /14../24: dense enough that
+/// entries nest, repeat and get covered by super-prefix queries.
+net::Prefix random_owned_prefix(Rng& rng) {
+  const auto len = static_cast<int>(rng.uniform_int(14, 24));
+  const auto low = static_cast<std::uint32_t>(rng.uniform_u64(1u << 20));
+  return net::Prefix(net::IpAddress::v4(0x0A000000u | low), len);
+}
+
+TEST(FlatEntryOracleTest, ClassificationEqualsSetSemantics) {
+  // Multi-origin entries, neighbor sets with the fake-first-hop check on,
+  // and duplicate prefixes across tenants (the later entry wins), on a
+  // table big enough that process_batch resolves lookups interleaved.
+  Rng rng(13);
+  Config config;
+  for (const char* name : {"a", "b", "c"}) config.add_tenant(name);
+  std::vector<net::Prefix> prefixes;
+  for (int i = 0; i < 6000; ++i) {
+    OwnedPrefix owned;
+    owned.prefix = (i > 0 && rng.chance(0.1))
+                       ? prefixes[rng.uniform_u64(prefixes.size())]  // duplicate
+                       : random_owned_prefix(rng);
+    const auto origins = rng.uniform_int(1, 3);
+    for (int k = 0; k < origins; ++k) {
+      owned.legitimate_origins.insert(static_cast<bgp::Asn>(rng.uniform_int(1, 6)));
+    }
+    if (rng.chance(0.5)) {
+      const auto neighbors = rng.uniform_int(1, 3);
+      for (int k = 0; k < neighbors; ++k) {
+        owned.legitimate_neighbors.insert(static_cast<bgp::Asn>(rng.uniform_int(4, 9)));
+      }
+    }
+    prefixes.push_back(owned.prefix);
+    config.add_owned(static_cast<TenantId>(rng.uniform_u64(3)), std::move(owned));
+  }
+  const auto table = config.build_table();
+  ASSERT_TRUE(table->interleaves());
+
+  // Entry by entry, the flat form holds exactly the declared sets.
+  std::map<net::Prefix, std::uint32_t> last_of;
+  for (std::uint32_t i = 0; i < config.owned().size(); ++i) {
+    const OwnedPrefix& declared = config.owned()[i];
+    const OwnedEntry& frozen = table->owned()[i];
+    EXPECT_EQ(frozen.prefix, declared.prefix);
+    EXPECT_EQ(frozen.tenant, declared.tenant);
+    std::set<bgp::Asn> origins{frozen.first_origin};
+    for (const auto asn : table->extra_origins(i)) origins.insert(asn);
+    EXPECT_EQ(origins, declared.legitimate_origins) << i;
+    const auto neighbors = table->legitimate_neighbors(i);
+    EXPECT_EQ(std::set<bgp::Asn>(neighbors.begin(), neighbors.end()),
+              declared.legitimate_neighbors)
+        << i;
+    for (bgp::Asn asn = 0; asn <= 10; ++asn) {
+      EXPECT_EQ(table->legitimate_origin(i, asn),
+                declared.legitimate_origins.contains(asn));
+    }
+    last_of[declared.prefix] = i;
+  }
+  for (const auto& [prefix, index] : last_of) {
+    const OwnershipRef ref = table->match(prefix);
+    ASSERT_TRUE(ref);
+    EXPECT_EQ(ref.entry, index) << prefix.to_string() << ": the later duplicate wins";
+    EXPECT_EQ(ref.tenant, config.owned()[index].tenant);
+  }
+
+  // Stream: owned prefixes, their more- and less-specifics, paths
+  // [vantage, neighbor, origin] drawn from pools that overlap the
+  // declared sets; batches of 256 through process_batch.
+  DetectionOptions options;
+  options.detect_fake_first_hop = true;
+  DetectionService detector(table, options);
+  std::vector<AlertKey> want;
+  std::set<std::tuple<int, net::Prefix, bgp::Asn, TenantId>> seen;
+  std::vector<feeds::Observation> batch;
+  std::size_t by_kind[5] = {};
+  for (int i = 0; i < 40000; ++i) {
+    feeds::Observation obs;
+    obs.type = feeds::ObservationType::kAnnouncement;
+    const net::Prefix& base = prefixes[rng.uniform_u64(prefixes.size())];
+    const int len =
+        std::clamp(base.length() + static_cast<int>(rng.uniform_int(-3, 3)), 8, 32);
+    obs.prefix = net::Prefix(base.address(), len);
+    const auto origin = static_cast<bgp::Asn>(rng.uniform_int(1, 8));
+    const auto neighbor = static_cast<bgp::Asn>(rng.uniform_int(1, 10));
+    obs.attrs.as_path = bgp::AsPath({9, neighbor, origin});
+    batch.push_back(obs);
+    if (const auto key = set_classify(*table, config, obs)) {
+      ++by_kind[static_cast<int>(key->type)];
+      if (seen.emplace(static_cast<int>(key->type), key->observed_prefix, key->offender,
+                       key->tenant)
+              .second) {
+        want.push_back(*key);
+      }
+    }
+    if (batch.size() == 256) {
+      detector.process_batch(batch);
+      batch.clear();
+    }
+  }
+  detector.process_batch(batch);
+  for (const auto kind : {HijackType::kExactOrigin, HijackType::kSubPrefix,
+                          HijackType::kSuperPrefix, HijackType::kFakeFirstHop}) {
+    EXPECT_GT(by_kind[static_cast<int>(kind)], 0u) << "no " << to_string(kind) << " case";
+  }
+  ASSERT_EQ(detector.alerts().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(detector.alerts()[i].key(), want[i]) << detector.alerts()[i].to_string();
+  }
+}
+
+TEST(FlatEntryOracleTest, TableRejectsEntryWithoutOrigins) {
+  OwnedPrefix owned;
+  owned.prefix = net::Prefix::must_parse("10.0.0.0/8");
+  const std::vector<OwnedPrefix> entries{owned};
+  EXPECT_THROW(OwnershipTable(entries, {TenantInfo{}}), std::invalid_argument);
 }
 
 TEST(ConfigV2Test, ParsesTenantsWithPerTenantPolicy) {
@@ -257,6 +399,58 @@ TEST(TenantAlertTest, DefaultTenantKeepsV1AlertFormat) {
   EXPECT_EQ(alert.tenant, kDefaultTenantId);
   EXPECT_EQ(alert.to_string().find("tenant="), std::string::npos);
   EXPECT_EQ(alert.dedup_key().find("|t"), std::string::npos);
+}
+
+TEST(TenantAlertTest, NamedTenantZeroIsLabeled) {
+  // The first tenant of a v2 config has id 0 like the implicit default
+  // tenant, but its alert lines must still name it. The dedup key keeps
+  // the tenant-0 form: it partitions by id, not by name.
+  const auto config = Config::from_json_text(R"({
+    "schema_version": 2,
+    "tenants": [
+      {"name": "acme",
+       "prefixes": [{"prefix": "10.0.0.0/23", "origins": [65001]}]},
+      {"name": "globex",
+       "prefixes": [{"prefix": "10.1.0.0/24", "origins": [65002]}]}
+    ]})");
+  DetectionService detector(config);
+  detector.process(make_obs("10.0.0.0/23", {9, 666}));
+  ASSERT_EQ(detector.alerts().size(), 1u);
+  const auto& alert = detector.alerts()[0];
+  EXPECT_EQ(alert.tenant, 0u);
+  const std::string line = alert.to_string();
+  EXPECT_EQ(line.substr(line.size() - std::string(" tenant=acme").size()), " tenant=acme")
+      << line;
+  EXPECT_EQ(alert.dedup_key(), "exact-origin|10.0.0.0/23|666");
+}
+
+TEST(TenantAlertTest, ExplicitTenantNamedDefaultIsLabeled) {
+  // "default" is only the implicit v1 tenant's name; a v2 config may use
+  // it for a tenant of its own, which is then labeled like any other and
+  // serializes back as v2.
+  for (const char* text : {R"({"schema_version": 2, "tenants": [
+                               {"name": "default",
+                                "prefixes": [{"prefix": "10.0.0.0/23", "origins": [65001]}]},
+                               {"name": "globex",
+                                "prefixes": [{"prefix": "10.1.0.0/24", "origins": [65002]}]}]})",
+                           R"({"schema_version": 2, "tenants": [
+                               {"name": "default",
+                                "prefixes": [{"prefix": "10.0.0.0/23", "origins": [65001]}]}]})"}) {
+    const auto config = Config::from_json_text(text);
+    DetectionService detector(config);
+    detector.process(make_obs("10.0.0.0/23", {9, 666}));
+    ASSERT_EQ(detector.alerts().size(), 1u) << text;
+    const auto& alert = detector.alerts()[0];
+    EXPECT_EQ(alert.tenant, kDefaultTenantId);
+    EXPECT_EQ(alert.tenant_name, "default");
+    const std::string line = alert.to_string();
+    EXPECT_EQ(line.substr(line.size() - std::string(" tenant=default").size()),
+              " tenant=default")
+        << line;
+    EXPECT_EQ(alert.dedup_key(), "exact-origin|10.0.0.0/23|666");
+    const auto doc = config.to_json();
+    EXPECT_NE(doc.find("tenants"), nullptr) << text;
+  }
 }
 
 TEST(TenantAlertTest, ReloadMovingPrefixBetweenTenantsRaisesFreshAlert) {

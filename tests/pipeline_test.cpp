@@ -50,7 +50,7 @@ Observation make_obs(std::string_view prefix, std::vector<bgp::Asn> path,
                      ObservationType type = ObservationType::kAnnouncement) {
   Observation obs;
   obs.type = type;
-  obs.source = std::move(source);
+  obs.source = feeds::intern_source(source);
   obs.vantage = path.empty() ? 9 : path.front();
   obs.prefix = net::Prefix::must_parse(prefix);
   obs.attrs.as_path = bgp::AsPath(std::move(path));
@@ -820,7 +820,7 @@ TEST(MonitorHubBatchTest, InternKeepsIdsStableAcrossInsertionOrder) {
   // Interleave names that sort in the opposite order of first sight.
   for (const char* name : {"zebra", "alpha", "zebra", "mid", "alpha", "zebra"}) {
     Observation obs;
-    obs.source = name;
+    obs.source = feeds::intern_source(name);
     hub.publish(obs);
   }
   EXPECT_EQ(hub.source_count("zebra"), 3u);

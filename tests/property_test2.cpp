@@ -155,7 +155,9 @@ json::Value random_json(Rng& rng, int depth) {
       json::Object obj;
       const auto len = rng.uniform_int(0, 6);
       for (int i = 0; i < len; ++i) {
-        obj["k" + std::to_string(rng.uniform_int(0, 20))] = random_json(rng, depth - 1);
+        std::string key = "k";
+        key += std::to_string(rng.uniform_int(0, 20));
+        obj[key] = random_json(rng, depth - 1);
       }
       return json::Value(std::move(obj));
     }

@@ -200,7 +200,7 @@ TEST(BatchRingTest, SlotsRecycleThroughThePoolNotTheAllocator) {
   for (int lap = 0; lap < 20; ++lap) {
     ObservationBatch* batch = ring.acquire();
     seen.insert(batch);
-    batch->emplace_back().source = "recycled-source-string";
+    batch->emplace_back().source = feeds::intern_source("recycled-source-string");
     element_storage.insert(&(*batch)[0]);
     ring.publish(batch);
     ObservationBatch* taken = ring.take(stop);

@@ -141,7 +141,7 @@ core::Config empty_owned_config() {
 feeds::Observation announce(std::string_view prefix, bgp::Asn origin) {
   feeds::Observation obs;
   obs.type = feeds::ObservationType::kAnnouncement;
-  obs.source = "ris-live";
+  obs.source = feeds::intern_source("ris-live");
   obs.vantage = 9;
   obs.prefix = net::Prefix::must_parse(prefix);
   obs.attrs.as_path = bgp::AsPath({9, origin});

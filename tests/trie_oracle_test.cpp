@@ -362,6 +362,7 @@ TEST_P(OverlapOracleTest, SingleAndBatchedQueriesEqualTwoWalks) {
     trie.insert(table[i], static_cast<std::uint32_t>(i));
     core::OwnedPrefix entry;
     entry.prefix = table[i];
+    entry.legitimate_origins = {65001};  // the table requires one
     entry.tenant = static_cast<core::TenantId>(i % 3);
     owned.push_back(std::move(entry));
   }

@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
           m["vantage"] = json::Value(static_cast<std::int64_t>(obs.vantage));
           m["origin"] = json::Value(static_cast<std::int64_t>(obs.origin_as()));
           m["as_path"] = json::Value(obs.attrs.as_path.to_string());
-          m["source"] = json::Value(obs.source);
+          m["source"] = json::Value(std::string(feeds::source_name(obs.source)));
           m["event_us"] =
               json::Value(static_cast<std::int64_t>(obs.event_time.as_micros()));
           m["delivered_us"] = json::Value(
