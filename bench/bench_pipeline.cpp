@@ -20,20 +20,17 @@
 //                              sources interleaved record by record, as
 //                              an MRT import's collector peers arrive.
 //   * BM_ShardedInline/<N>   — inline hash dispatch across N shards.
-//   * BM_ShardedThreaded/<N> — SPSC rings + N workers; submit+flush per
-//                              iteration. Multi-shard scaling.
+//   * BM_InlineRpki          — one shard with a dense ROA table: the
+//                              route-origin validation path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "artemis/detection.hpp"
 #include "feeds/monitor_hub.hpp"
-#include "pipeline/batch_ring.hpp"
 #include "pipeline/sharded_detector.hpp"
 #include "rpki/roa.hpp"
 #include "telemetry/metrics.hpp"
@@ -291,150 +288,8 @@ void BM_ShardedInline(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedInline)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_ShardedThreaded(benchmark::State& state) {
-  const core::Config config = make_config();
-  pipeline::ShardedDetectorOptions options;
-  options.shards = static_cast<std::size_t>(state.range(0));
-  options.threaded = true;
-  options.queue_capacity = 1024;
-  options.drain_batch = 128;
-  pipeline::ShardedDetector detector(config, options);
-  const auto& stream = workload();
-  constexpr std::size_t kChunk = 1024;
-  for (auto _ : state) {
-    // One iteration = the full 64k-observation workload, fanned out and
-    // fully drained (flush is the barrier the wall clock must include).
-    for (std::size_t i = 0; i < stream.size(); i += kChunk) {
-      detector.submit_batch({stream.data() + i, std::min(kChunk, stream.size() - i)});
-    }
-    detector.flush();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_ShardedThreaded)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-/// The acceptance bench for the batch-granular handoff: N shard workers
-/// draining BatchRings, full workload fan-out + flush per iteration, under
-/// both wait policies (futex:0 = busy_poll, futex:1 = std::atomic::wait).
-/// The scaling bar — threads:4 >= 2x threads:1 items/s — holds on a
-/// >= 4-core runner; a 1-CPU container serializes the workers and this
-/// bench then measures handoff overhead instead of scaling.
-void BM_ShardedThroughput(benchmark::State& state) {
-  const core::Config config = make_config();
-  pipeline::ShardedDetectorOptions options;
-  options.shards = static_cast<std::size_t>(state.range(0));
-  options.threaded = true;
-  options.queue_capacity = 1024;
-  options.drain_batch = 128;
-  options.wait_policy = state.range(1) != 0 ? pipeline::WaitPolicy::kFutex
-                                            : pipeline::WaitPolicy::kBusyPoll;
-  pipeline::ShardedDetector detector(config, options);
-  const auto& stream = workload();
-  constexpr std::size_t kChunk = 1024;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < stream.size(); i += kChunk) {
-      detector.submit_batch({stream.data() + i, std::min(kChunk, stream.size() - i)});
-    }
-    detector.flush();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_ShardedThroughput)
-    ->ArgNames({"threads", "futex"})
-    ->Args({1, 0})->Args({2, 0})->Args({4, 0})
-    ->Args({1, 1})->Args({2, 1})->Args({4, 1})
-    ->UseRealTime();
-
-// ---- handoff micro-benches -------------------------------------------------
-//
-// Pure cross-thread transfer cost, no detection work: the per-observation
-// SpscRing handoff (one release store + one copy per observation, the
-// pre-BatchRing design) against the batch-granular BatchRing (one release
-// store per ~128 observations, observations copy-assigned into recycled
-// slots). The acceptance bar: BM_HandoffBatchRing >= 5x BM_HandoffPerObsRing
-// items/s. Consumer-side waits yield so the pair stays meaningful on a
-// single-CPU runner.
-
-void BM_HandoffPerObsRing(benchmark::State& state) {
-  pipeline::SpscRing<feeds::Observation> ring(1024);
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> drained{0};
-  std::thread consumer([&] {
-    feeds::Observation slot;  // recycled out-buffer, as the real worker has
-    for (;;) {
-      if (ring.try_pop(slot)) {
-        drained.fetch_add(1, std::memory_order_release);
-      } else if (stop.load(std::memory_order_acquire)) {
-        if (!ring.try_pop(slot)) return;
-        drained.fetch_add(1, std::memory_order_release);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  const auto& stream = workload();
-  std::uint64_t pushed = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    while (!ring.try_push(stream[i])) std::this_thread::yield();
-    ++pushed;
-    i = (i + 1) & (stream.size() - 1);
-  }
-  while (drained.load(std::memory_order_acquire) < pushed) {
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  consumer.join();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HandoffPerObsRing)->UseRealTime();
-
-void BM_HandoffBatchRing(benchmark::State& state) {
-  pipeline::BatchRing ring(8, 128);
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> drained{0};
-  std::thread consumer([&] {
-    for (;;) {
-      pipeline::ObservationBatch* batch = ring.take(stop);
-      if (batch == nullptr) return;
-      drained.fetch_add(batch->size(), std::memory_order_release);
-      ring.release(batch);
-    }
-  });
-  const auto& stream = workload();
-  pipeline::ObservationBatch* staging = nullptr;
-  std::uint64_t pushed = 0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    if (staging == nullptr) staging = ring.acquire();
-    staging->emplace_back() = stream[i];
-    ++pushed;
-    if (staging->size() == ring.batch_capacity()) {
-      ring.publish(staging);
-      staging = nullptr;
-    }
-    i = (i + 1) & (stream.size() - 1);
-  }
-  if (staging != nullptr && !staging->empty()) {
-    ring.publish(staging);
-    staging = nullptr;
-  }
-  while (drained.load(std::memory_order_acquire) < pushed) {
-    std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  ring.wake_consumer();
-  consumer.join();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HandoffBatchRing)->UseRealTime();
-
 /// A dense ROA table so every out-of-owned-space announcement pays an
-/// RPKI origin validation (the realistic "heavy" per-observation cost —
-/// this is where sharding starts to pay: the handoff copy is fixed, the
-/// per-observation work now dwarfs it and parallelizes).
+/// RPKI origin validation (the realistic "heavy" per-observation cost).
 const rpki::RoaTable& dense_roa_table() {
   static const rpki::RoaTable table = [] {
     Rng rng(7);
@@ -453,30 +308,10 @@ const rpki::RoaTable& dense_roa_table() {
   return table;
 }
 
-void BM_ShardedThreadedRpki(benchmark::State& state) {
-  const core::Config config = make_config();
-  pipeline::ShardedDetectorOptions options;
-  options.shards = static_cast<std::size_t>(state.range(0));
-  options.threaded = true;
-  options.queue_capacity = 1024;
-  options.drain_batch = 128;
-  options.detection.roa_table = &dense_roa_table();
-  pipeline::ShardedDetector detector(config, options);
-  const auto& stream = workload();
-  constexpr std::size_t kChunk = 1024;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < stream.size(); i += kChunk) {
-      detector.submit_batch({stream.data() + i, std::min(kChunk, stream.size() - i)});
-    }
-    detector.flush();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_ShardedThreadedRpki)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 void BM_InlineRpki(benchmark::State& state) {
-  // Single-thread reference for BM_ShardedThreadedRpki's scaling.
+  // The surviving route-origin validation path: BM_ShardedInline/1's
+  // workload, with every out-of-owned-space announcement validated
+  // against 100k ROAs.
   const core::Config config = make_config();
   pipeline::ShardedDetectorOptions options;
   options.detection.roa_table = &dense_roa_table();

@@ -13,14 +13,6 @@
 //                   as possible, no pacing)
 //   --shards N      with --replay: override detection_shards — replayed
 //                   output is bit-identical for any N
-//   --threaded      with --replay (full speed only): one worker thread
-//                   per shard behind the batch-granular ring handoff —
-//                   output is still bit-identical to inline
-//   --wait-policy P with --replay --threaded: busy_poll (default) or
-//                   futex — what idle workers / a backpressured producer
-//                   do while waiting
-//   --pin           with --replay --threaded: pin shard workers to
-//                   consecutive CPUs (best effort)
 //   --import-mrt    import mode: the positional arguments are MRT files
 //                   (not a scenario); convert them into the journal named
 //                   by --journal DIR, then exit. Pair with a later
@@ -76,8 +68,7 @@ constexpr std::string_view kDefaultScenario = R"({
   std::fprintf(stderr,
                "usage: scenario_runner [scenario.json] [--journal DIR] "
                "[--metrics-port N] "
-               "[--replay DIR [--warp N] [--shards N] [--threaded "
-               "[--wait-policy busy_poll|futex] [--pin]]] | "
+               "[--replay DIR [--warp N] [--shards N]] | "
                "--import-mrt <file.mrt...> --journal DIR\n");
   std::exit(2);
 }
@@ -137,17 +128,6 @@ int main(int argc, char** argv) {
         usage_error("--shards must be an integer in [1, 1024]");
       }
       replay_options.detection_shards = static_cast<std::size_t>(shards);
-    } else if (arg == "--threaded") {
-      replay_options.threaded = true;
-    } else if (arg == "--wait-policy") {
-      const char* text = flag_value("--wait-policy");
-      pipeline::WaitPolicy policy;
-      if (!pipeline::parse_wait_policy(text, policy)) {
-        usage_error("--wait-policy must be busy_poll or futex");
-      }
-      replay_options.wait_policy = policy;
-    } else if (arg == "--pin") {
-      replay_options.pin = true;
     } else if (arg == "--metrics-port") {
       const char* text = flag_value("--metrics-port");
       char* rest = nullptr;
@@ -177,17 +157,8 @@ int main(int argc, char** argv) {
   // Reject silently-ignored combinations: pacing/sharding flags only
   // affect replay, and recording is meaningless while replaying.
   if (replay_dir.empty() &&
-      (replay_options.speedup > 0.0 || replay_options.detection_shards > 0 ||
-       replay_options.threaded || replay_options.wait_policy ||
-       replay_options.pin)) {
-    usage_error("--warp/--shards/--threaded/--wait-policy/--pin require --replay");
-  }
-  if ((replay_options.wait_policy || replay_options.pin) &&
-      !replay_options.threaded) {
-    usage_error("--wait-policy/--pin require --threaded");
-  }
-  if (replay_options.threaded && replay_options.speedup > 0.0) {
-    usage_error("--threaded requires full-speed replay (drop --warp)");
+      (replay_options.speedup > 0.0 || replay_options.detection_shards > 0)) {
+    usage_error("--warp/--shards require --replay");
   }
   if (!replay_dir.empty() && !journal_dir.empty()) {
     usage_error("--journal cannot be combined with --replay");

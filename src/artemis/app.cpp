@@ -1,7 +1,6 @@
 #include "artemis/app.hpp"
 
 #include <memory>
-#include <mutex>
 
 namespace artemis::core {
 
@@ -12,13 +11,6 @@ ArtemisApp::ArtemisApp(Config config, sim::Network& network, bgp::Asn router_asn
       std::make_unique<SimController>(network, router_asn, options.controller_latency);
   pipeline::ShardedDetectorOptions detector_options;
   detector_options.shards = options.detection_shards;
-  // Live-sim drivers (HijackExperiment) always pass detection_threaded =
-  // false — sim-time causality needs inline dispatch. Replay drivers may
-  // thread: the journal stream is the only input and the sim only runs
-  // after a flush().
-  detector_options.threaded = options.detection_threaded;
-  detector_options.wait_policy = options.detection_wait_policy;
-  detector_options.pin_workers = options.detection_pin;
   detector_options.detection = options.detection;
   detector_options.metrics = options.metrics;
   // One frozen snapshot feeds all three services — the config trie is
@@ -46,32 +38,18 @@ ArtemisApp::ArtemisApp(Config config, sim::Network& network, bgp::Asn router_asn
   // dedup keeps a single plan per hijack, and it checks the owning
   // tenant's auto_mitigate per alert). Registered unconditionally — not
   // gated on any_auto_mitigate() — because a reload() can switch a
-  // tenant's policy on later, and threaded-mode handlers cannot be added
-  // after the first submit. Threaded mode: handlers fire concurrently on
-  // worker threads, and MitigationService (and the sim event queue it
-  // schedules into) is single-threaded — serialize.
-  if (options.detection_threaded) {
-    detector_->on_alert([m = mitigation_.get(),
-                         lock = std::make_shared<std::mutex>()](
-                            const HijackAlert& alert) {
-      const std::scoped_lock guard(*lock);
-      m->handle_alert(alert);
-    });
-  } else {
-    detector_->on_alert([m = mitigation_.get()](const HijackAlert& alert) {
-      m->handle_alert(alert);
-    });
-  }
+  // tenant's policy on later.
+  detector_->on_alert([m = mitigation_.get()](const HijackAlert& alert) {
+    m->handle_alert(alert);
+  });
 }
 
 void ArtemisApp::reload(Config config) {
   config_ = std::move(config);
   auto table = config_.build_table();
-  // Order matters only for the detector: its reload() drains in-flight
-  // batches, so the swap lands between batches in every shard. Alert
-  // handlers (mitigation) run inside process_batch — by the time
-  // detector_->reload returns, no handler is mid-flight, and the two
-  // set_ownership calls below are plain writes from this thread.
+  // Detection dispatches inline, so between two hub deliveries every
+  // shard sits at a batch boundary and no alert handler (mitigation) is
+  // mid-flight: all three swaps are plain writes from this thread.
   detector_->reload(table);
   mitigation_->set_ownership(table);
   monitoring_->set_ownership(std::move(table));

@@ -8,10 +8,10 @@
 //
 // Detection runs behind the sharded pipeline (src/pipeline/): the hub's
 // batch stream is hash-partitioned across `detection_shards` detection
-// shards. Inside the simulator the pipeline always dispatches inline
-// (single-threaded, deterministic, preserves sim-time causality for the
-// mitigation trigger); detection_shards == 1 — the default — is
-// behaviorally identical to the pre-pipeline wiring.
+// shards. The pipeline dispatches inline on the delivering thread
+// (deterministic, preserves sim-time causality for the mitigation
+// trigger); detection_shards == 1 — the default — is behaviorally
+// identical to the pre-pipeline wiring.
 #pragma once
 
 #include <memory>
@@ -34,16 +34,6 @@ struct AppOptions {
   /// Detection shards in the observation pipeline (>1 exercises the
   /// partitioned dedup maps deterministically).
   std::size_t detection_shards = 1;
-  /// One worker thread per detection shard (batch-granular ring handoff).
-  /// Only meaningful for replay-style drivers: the live simulator forces
-  /// inline dispatch regardless (sim-time causality — alert handlers
-  /// schedule sim events and must run on the sim thread). merged_alerts()
-  /// is bit-identical either way; callers must flush() before reading.
-  bool detection_threaded = false;
-  /// Worker/producer wait behavior when threaded (busy_poll or futex).
-  pipeline::WaitPolicy detection_wait_policy = pipeline::WaitPolicy::kBusyPoll;
-  /// Pin shard workers to consecutive CPUs (best effort).
-  bool detection_pin = false;
   /// Controller command latency (paper: ~15 s to announce through ONOS).
   SimDuration controller_latency = SimDuration::seconds(15);
   /// When non-empty, every observation the hub delivers is also recorded
@@ -72,12 +62,12 @@ class ArtemisApp {
   const Config& config() const { return config_; }
 
   /// Incremental reload: freezes `config` into a new ownership snapshot
-  /// and swaps every service onto it — detector shards at a drained batch
+  /// and swaps every service onto it — detector shards at a batch
   /// boundary (ShardedDetector::reload), mitigation and monitoring
   /// immediately after. No restart, no re-replay: alert, dedup and
   /// mitigation state survive; observations delivered after reload() are
-  /// classified and policied under the new config. Call from the
-  /// submission (producer) thread.
+  /// classified and policied under the new config. Call between hub
+  /// deliveries, on the thread that publishes to the hub.
   void reload(Config config);
 
   /// The ownership snapshot all services currently share.

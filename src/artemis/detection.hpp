@@ -95,9 +95,8 @@ class DetectionService {
   explicit DetectionService(const Config& config, DetectionOptions options = {});
 
   /// Swaps the ownership snapshot — the incremental-reload seam. Must be
-  /// called between process_batch calls (a batch boundary): the caller
-  /// is the single submission thread, or a barrier like
-  /// ShardedDetector::reload that proves no batch is in flight. Alert
+  /// called between process_batch calls (a batch boundary), on the
+  /// thread that submits them (ShardedDetector::reload does). Alert
   /// and dedup state survive the swap (a reload is not a restart);
   /// classification of every later observation uses the new table.
   void set_ownership(std::shared_ptr<const OwnershipTable> table);

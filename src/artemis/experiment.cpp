@@ -170,14 +170,8 @@ HijackExperiment::HijackExperiment(const topo::AsGraph& graph,
   helpers_ = recruit_helpers(graph, params_);
   Config config = build_experiment_config(graph, params_, helpers_);
   legit_origins_ = config.owned().front().legitimate_origins;
-  // The live simulation always dispatches detection inline: alert
-  // handlers schedule sim events mid-delivery, which only preserves
-  // sim-time causality on the sim thread. Threaded detection is a
-  // replay/ingest feature (replay_scenario_journal honors it).
-  AppOptions app_options = params_.app;
-  app_options.detection_threaded = false;
   app_ = std::make_unique<ArtemisApp>(std::move(config), *network_, params_.victim,
-                                      app_options);
+                                      params_.app);
   helper_controllers_ =
       wire_helpers(*app_, *network_, helpers_, params_.app.controller_latency);
 

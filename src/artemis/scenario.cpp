@@ -123,21 +123,6 @@ Scenario load_scenario(const json::Value& doc) {
                                 std::to_string(shards));
   }
   params.app.detection_shards = static_cast<std::size_t>(shards);
-  // Threaded detection knobs. Recorded in the scenario so a replay run is
-  // reproducible from the artifact alone; the live simulation ignores
-  // them (inline dispatch, see experiment.cpp).
-  params.app.detection_threaded =
-      experiment.get_bool("detection_threaded", false);
-  const std::string wait_policy =
-      experiment.get_string("detection_wait_policy", "");
-  if (!wait_policy.empty() &&
-      !pipeline::parse_wait_policy(wait_policy,
-                                   params.app.detection_wait_policy)) {
-    throw std::invalid_argument(
-        "detection_wait_policy must be busy_poll or futex, got \"" +
-        wait_policy + "\"");
-  }
-  params.app.detection_pin = experiment.get_bool("detection_pin", false);
   // Observation flight recorder: record every hub delivery to this
   // directory (replayable with scenario_runner --replay).
   params.app.journal_dir = experiment.get_string("journal_dir", "");
@@ -175,15 +160,6 @@ json::Value replay_scenario_journal(const Scenario& scenario,
   if (options.detection_shards > 0) {
     params.app.detection_shards = options.detection_shards;
   }
-  if (options.threaded) params.app.detection_threaded = *options.threaded;
-  if (options.wait_policy) params.app.detection_wait_policy = *options.wait_policy;
-  if (options.pin) params.app.detection_pin = *options.pin;
-  if (params.app.detection_threaded && options.speedup > 0.0) {
-    // Warped replay runs the simulator concurrently with delivery; shard
-    // workers would race the sim thread through the mitigation path.
-    throw std::invalid_argument(
-        "threaded detection requires full-speed replay (no --warp)");
-  }
   const auto helpers = recruit_helpers(scenario.graph, params);
   Config config = build_experiment_config(scenario.graph, params, helpers);
   Rng rng(scenario.seed);
@@ -203,10 +179,6 @@ json::Value replay_scenario_journal(const Scenario& scenario,
     sim.run_all();
   } else {
     replay.replay_all(app.hub());
-    // Threaded detection: barrier before touching the sim or reading
-    // state — every alert (and the mitigation events its handler
-    // scheduled) must exist before the drain below.
-    app.sharded_detection().flush();
     // Replay-triggered mitigation scheduled controller/BGP events on the
     // sim; drain them so both replay modes leave the same network state.
     network.simulator().run_all();

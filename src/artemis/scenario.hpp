@@ -29,12 +29,10 @@
 // explicit ASN.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "artemis/experiment.hpp"
 #include "json/json.hpp"
-#include "pipeline/wait_policy.hpp"
 #include "telemetry/metrics.hpp"
 #include "topology/generator.hpp"
 
@@ -69,15 +67,6 @@ struct ReplayRunOptions {
   /// determinism headline: any shard count yields identical output.
   std::size_t detection_shards = 0;
   std::size_t batch_size = 1024;
-  /// Threaded detection override (scenario value when nullopt). Only
-  /// valid for full-speed replay (speedup == 0): a time-warped replay
-  /// interleaves the simulator with delivery, and worker threads would
-  /// race the running sim — replay_scenario_journal throws on that
-  /// combination. Output stays bit-identical to inline (flushed before
-  /// the sim drains and before alerts are read).
-  std::optional<bool> threaded;
-  std::optional<pipeline::WaitPolicy> wait_policy;
-  std::optional<bool> pin;
   /// When set, the replay app registers telemetry in this registry and
   /// the result JSON gains a "detection_delay_percentiles" object (from
   /// the artemis_detection_delay_seconds histogram over the replayed

@@ -58,8 +58,8 @@ struct PipelineOptions {
   /// equivalence is the contract: in a run with no drops and no crash,
   /// the tap sees the same stream a later journal replay would — so a
   /// ShardedDetector fed here (artemis_ingest --detect) raises the same
-  /// alerts the replay path does. Called on the ingest thread; a threaded
-  /// detector's submit_batch is its single producer.
+  /// alerts the replay path does. Called on the ingest thread, which
+  /// classifies each span before the next one is converted.
   feeds::ObservationBatchHandler detection_tap;
   /// When set, the pipeline registers the ingest counter bundle and
   /// feeds the live ledger (converted/journaled/skipped/dropped, plus

@@ -59,24 +59,12 @@ inline constexpr std::size_t kSegmentHeaderSize = 32;
 /// be stored gzip-compressed as seg-<hex>.aj.gz (cold archive form; the
 /// reader decompresses transparently and replay is bit-identical), and
 /// carries its index footer in a seg-<hex>.ajx sidecar (docs/
-/// journal-format.md) — advisory metadata with the batch-frames
-/// contract: torn or missing degrades to a full scan, never an error.
+/// journal-format.md) — advisory metadata: torn or missing degrades to
+/// a full scan, never an error.
 inline constexpr std::string_view kSegmentPrefix = "seg-";
 inline constexpr std::string_view kSegmentSuffix = ".aj";
 inline constexpr std::string_view kCompressedSegmentSuffix = ".aj.gz";
 inline constexpr std::string_view kIndexSuffix = ".ajx";
-
-/// Batch-framing sidecar: an append-only file of varint batch sizes, one
-/// per append_batch call, after an 8-byte magic. Deliberately NOT a
-/// segment name, so is_segment_file_name() keeps it invisible to the
-/// reader, the resume scan and sequence accounting — it is advisory
-/// metadata that lets replay reproduce the recorded batch boundaries
-/// (and with them exact per-source/per-batch stats). Crash rules mirror
-/// the journal's: a torn trailing varint is a clean end; framing may
-/// over- or under-cover the record stream after a crash, and replay
-/// clamps or falls back accordingly.
-inline constexpr std::string_view kFramesFileName = "batch-frames.ajf";
-inline constexpr std::string_view kFramesMagic = "AJFRAME1";
 
 namespace detail {
 /// "seg-" + 16 lowercase hex digits + `suffix`, nothing else.
@@ -103,8 +91,9 @@ inline bool is_compressed_segment_file_name(std::string_view name) {
 }
 
 /// A reader-visible segment in either storage form. The index sidecar
-/// (.ajx) and framing sidecar deliberately fail this test, so sequence
-/// accounting and resume only ever see record-bearing files.
+/// (.ajx) and every other file — a legacy batch-frames.ajf included —
+/// fail this test, so sequence accounting and resume only ever see
+/// record-bearing files.
 inline bool is_segment_file_name(std::string_view name) {
   return is_raw_segment_file_name(name) || is_compressed_segment_file_name(name);
 }

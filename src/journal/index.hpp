@@ -8,12 +8,12 @@
 // segments can possibly match, then decodes just those — cold archives
 // stay compressed on disk unless the footer says they matter.
 //
-// The footer is ADVISORY metadata, same contract as the batch-frames
-// sidecar: a missing, torn, or corrupt footer degrades that segment to a
-// full scan, never an error. The record stream remains the only source
-// of truth; footers can always be rebuilt from it (build_missing_footers,
-// `journal_query --build-index`). Wire format is normative in
-// docs/journal-format.md — fixtures regenerate from the document.
+// The footer is ADVISORY metadata: a missing, torn, or corrupt footer
+// degrades that segment to a full scan, never an error. The record
+// stream remains the only source of truth; footers can always be
+// rebuilt from it (build_missing_footers, `journal_query --build-index`).
+// Wire format is normative in docs/journal-format.md — fixtures
+// regenerate from the document.
 //
 // Bloom semantics (the part that has to be exactly right): the filter
 // answers "could any record's prefix OVERLAP query prefix P?" — overlap,

@@ -1,9 +1,6 @@
 #include "journal/replay.hpp"
 
-#include <cstdio>
 #include <stdexcept>
-
-#include "journal/format.hpp"
 
 namespace artemis::journal {
 
@@ -18,57 +15,14 @@ ReplayFeed::ReplayFeed(JournalReader& reader, ReplayOptions options)
   buffer_.reserve(options_.batch_size);
   if (!options_.filter.is_trivial()) {
     // Predicate replay: push the filter down to the reader (footer-based
-    // segment pruning + exact per-record filtering). Recorded framing
-    // describes the unfiltered stream, so it cannot apply here.
+    // segment pruning + exact per-record filtering).
     reader_.set_filter(options_.filter);
-    options_.use_recorded_framing = false;
   }
-  if (options_.use_recorded_framing) load_frames();
-}
-
-void ReplayFeed::load_frames() {
-  const std::string path =
-      reader_.dir() + "/" + std::string(kFramesFileName);
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return;  // no sidecar: plain fixed-size chunking
-  std::fseek(file, 0, SEEK_END);
-  const long size = std::ftell(file);
-  std::fseek(file, 0, SEEK_SET);
-  std::vector<std::uint8_t> data(size > 0 ? static_cast<std::size_t>(size) : 0);
-  const bool ok =
-      data.empty() || std::fread(data.data(), 1, data.size(), file) == data.size();
-  std::fclose(file);
-  if (!ok || data.size() < kFramesMagic.size() ||
-      std::string_view(reinterpret_cast<const char*>(data.data()),
-                       kFramesMagic.size()) != kFramesMagic) {
-    return;  // foreign or torn-before-magic file: ignore, fall back
-  }
-  const std::uint8_t* cursor = data.data() + kFramesMagic.size();
-  const std::uint8_t* const end = data.data() + data.size();
-  std::uint64_t value = 0;
-  // A torn trailing varint (crash mid-write) is a clean end of framing.
-  while (get_varint(cursor, end, value)) frames_.push_back(value);
 }
 
 std::uint64_t ReplayFeed::replay_all(const feeds::ObservationBatchHandler& sink) {
   std::uint64_t delivered = 0;
-  for (;;) {
-    // Framed mode: ask for exactly the recorded batch size. The reader
-    // fills across segment boundaries, so a short read means the journal
-    // is exhausted — which also clamps an over-counting frame left by a
-    // crash. Once frames run out, fall back to fixed-size chunks.
-    std::size_t want = options_.batch_size;
-    bool framed = false;
-    if (frame_cursor_ < frames_.size()) {
-      want = static_cast<std::size_t>(frames_[frame_cursor_]);
-      framed = true;
-      ++frame_cursor_;
-      if (want == 0) continue;  // crash debris; a real append is never empty
-    }
-    if (reader_.read_batch(buffer_, want) == 0) {
-      if (framed) continue;  // skip unbacked frames, then fall back / end
-      break;
-    }
+  while (reader_.read_batch(buffer_, options_.batch_size) != 0) {
     sink(buffer_.view());
     delivered += buffer_.size();
   }

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "feeds/monitor_hub.hpp"
 #include "journal/reader.hpp"
@@ -38,21 +37,9 @@ struct ReplayOptions {
   /// Scheduled-mode time warp: 1.0 replays at recorded pacing, N > 1
   /// compresses the timeline N×. Must be > 0.
   double speedup = 1.0;
-  /// replay_all only: re-emit the exact batch boundaries the writer
-  /// recorded in the framing sidecar (format.hpp kFramesFileName), so a
-  /// replayed hub reproduces per-batch and per-source statistics
-  /// bit-for-bit, not just detection output (which is batch-boundary
-  /// independent either way). Crash tolerance: an over-counting frame is
-  /// clamped to the records actually on disk, and once frames run out
-  /// (sidecar lost/torn/absent) replay falls back to fixed batch_size
-  /// chunks for the remainder. Scheduled mode ignores this — its framing
-  /// is delivery-time runs, which is already exact pacing.
-  bool use_recorded_framing = false;
   /// Predicate replay: only matching records are emitted, and segments
   /// whose index footer rules them out are never opened (see
-  /// JournalReader::set_filter). A non-trivial filter disables
-  /// use_recorded_framing — the recorded batch boundaries count records
-  /// the filter removes, so they no longer describe the emitted stream.
+  /// JournalReader::set_filter).
   QueryFilter filter;
 };
 
@@ -80,17 +67,10 @@ class ReplayFeed {
 
   std::uint64_t replayed() const { return replayed_; }
 
-  /// Batch sizes loaded from the framing sidecar (empty when framing is
-  /// off or the sidecar is absent).
-  const std::vector<std::uint64_t>& recorded_frames() const { return frames_; }
-
  private:
   /// Scheduled mode: emit the run of equal-delivery-time records at the
   /// buffer cursor, then arm the event for the next run.
   void schedule_next(sim::Simulator& sim);
-
-  /// Parses the sidecar into frames_ (missing file = no frames).
-  void load_frames();
 
   JournalReader& reader_;
   ReplayOptions options_;
@@ -98,8 +78,6 @@ class ReplayFeed {
   std::size_t cursor_ = 0;  ///< scheduled mode: next unemitted record
   feeds::ObservationBatchHandler sink_;
   std::uint64_t replayed_ = 0;
-  std::vector<std::uint64_t> frames_;  ///< recorded batch sizes, in order
-  std::size_t frame_cursor_ = 0;       ///< next unconsumed frame
 };
 
 }  // namespace artemis::journal

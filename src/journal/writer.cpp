@@ -199,7 +199,6 @@ JournalWriter::JournalWriter(std::string dir, JournalWriterOptions options)
                        ec.message());
   }
   buffer_.reserve(options_.buffer_bytes + (64u << 10));
-  frames_buffer_.reserve(4096);
   last_fsync_ms_ = steady_ms();
   resume_existing();
   // Every segment on disk is now sealed (the resume scan truncated any
@@ -210,37 +209,6 @@ JournalWriter::JournalWriter(std::string dir, JournalWriterOptions options)
   }
   if (options_.retention.enabled()) load_sealed_registry();
   open_segment();
-  open_frames_file();
-}
-
-void JournalWriter::open_frames_file() {
-  const std::string path = dir_ + "/" + std::string(kFramesFileName);
-  frames_fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (frames_fd_ < 0) throw_errno("cannot open framing sidecar " + path);
-  // A fresh sidecar gets the magic; a resumed one just keeps appending
-  // (O_APPEND) — a torn trailing varint from the previous life is the
-  // reader's clean end-of-framing.
-  const off_t size = ::lseek(frames_fd_, 0, SEEK_END);
-  if (size == 0) {
-    frames_buffer_.insert(frames_buffer_.end(), kFramesMagic.begin(),
-                          kFramesMagic.end());
-  }
-}
-
-void JournalWriter::write_frames_buffer() {
-  // Same partial-write resume discipline as write_buffer(): the consumed
-  // prefix survives a throw so a retry never duplicates bytes.
-  while (frames_consumed_ < frames_buffer_.size()) {
-    const ssize_t n = ::write(frames_fd_, frames_buffer_.data() + frames_consumed_,
-                              frames_buffer_.size() - frames_consumed_);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("framing sidecar write failed in " + dir_);
-    }
-    frames_consumed_ += static_cast<std::size_t>(n);
-  }
-  frames_buffer_.clear();
-  frames_consumed_ = 0;
 }
 
 void JournalWriter::resume_existing() {
@@ -402,10 +370,6 @@ void JournalWriter::write_buffer() {
   buffer_.clear();
   buffer_consumed_ = 0;
   records_flushed_ = records_;
-  // Records first, framing second: a crash between the two leaves the
-  // sidecar UNDER-counting, which framed replay handles by falling back
-  // to fixed-size batches for the uncovered tail.
-  write_frames_buffer();
   if (metrics_.lag_records != nullptr) metrics_.lag_records->set(0);
   if (options_.fsync_policy == FsyncPolicy::kInterval && fd_ >= 0 &&
       steady_ms() - last_fsync_ms_ >= options_.fsync_interval_ms) {
@@ -430,8 +394,6 @@ void JournalWriter::append_batch(std::span<const feeds::Observation> batch) {
     ++records_;
     last_delivered_us_ = obs.delivered_at.as_micros();
   }
-  ++batches_;
-  put_varint(frames_buffer_, batch.size());
   if (metrics_.appends != nullptr) {
     metrics_.appends->add();
     metrics_.records->add(batch.size());
@@ -485,10 +447,6 @@ void JournalWriter::close() {
     do_fsync();
   }
   closed_ = true;
-  if (frames_fd_ >= 0) {
-    ::close(frames_fd_);  // buffer already drained by write_buffer above
-    frames_fd_ = -1;
-  }
   if (fd_ >= 0 && ::close(fd_) != 0) {
     fd_ = -1;
     throw_errno("journal segment close failed in " + dir_);

@@ -162,9 +162,6 @@ class JournalWriter {
   /// fsync(2) calls issued so far (policy-driven plus explicit sync()).
   std::uint64_t fsyncs() const { return fsyncs_; }
 
-  /// Batches appended so far (== lines in the framing sidecar).
-  std::uint64_t batches_written() const { return batches_; }
-
   /// Sealed segments re-stored gzip-compressed so far.
   std::uint64_t segments_compressed() const { return compressions_; }
   /// Sealed segments deleted by the retention policy so far.
@@ -194,8 +191,6 @@ class JournalWriter {
   void open_segment();
   void write_buffer();
   void do_fsync();
-  void open_frames_file();
-  void write_frames_buffer();
   /// Post-close-of-fd sealing of the segment starting at `first_seq`:
   /// index footer, optional compression, retention sweep. Must run
   /// before open_segment() resets the encoder's source table.
@@ -227,13 +222,6 @@ class JournalWriter {
   std::uint64_t total_bytes_ = 0;
   std::uint64_t fsyncs_ = 0;
   std::int64_t last_fsync_ms_ = 0;  ///< steady-clock ms of the last fsync
-  std::uint64_t batches_ = 0;
-  // Batch-framing sidecar (format.hpp kFramesFileName): one varint batch
-  // size per append_batch, buffered here and flushed on the same cadence
-  // as the record buffer. O_APPEND, so resume just continues the file.
-  int frames_fd_ = -1;
-  std::vector<std::uint8_t> frames_buffer_;
-  std::size_t frames_consumed_ = 0;  ///< frames_buffer_ prefix written out
   telemetry::JournalCounters metrics_;  ///< null cells = disabled
   bool closed_ = false;
   // Queryable-archive state: the open segment's footer accumulator (its

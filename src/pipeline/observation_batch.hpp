@@ -5,10 +5,10 @@
 // the hot fields — type, prefix, origin path — linearly through cache),
 // and clear() resets the logical size WITHOUT destroying elements: the
 // vector capacity and each recycled Observation's heap buffers (AS-path
-// and community vectors) survive, so a steady-state drain loop that
-// move-assigns popped observations into recycled slots performs no heap
-// allocations once warmed up. That is the zero-allocation contract the
-// worker loops in ShardedDetector rely on.
+// and community vectors) survive, so a steady-state loop that decodes
+// into recycled slots performs no heap allocations once warmed up. That
+// is the zero-allocation contract the MRT converter and the journal
+// reader rely on.
 #pragma once
 
 #include <cstddef>

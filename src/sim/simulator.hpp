@@ -1,6 +1,6 @@
 // The discrete-event simulation core.
 //
-// A single-threaded event loop over simulated time. Events scheduled for
+// An event loop over simulated time, run on one thread. Events scheduled for
 // the same instant run in scheduling order (a monotonic sequence number
 // breaks ties), which keeps runs deterministic.
 #pragma once

@@ -309,30 +309,6 @@ DetectionCounters register_detection(MetricsRegistry& registry) {
   return c;
 }
 
-RingCounters register_ring(MetricsRegistry& registry) {
-  RingCounters c;
-  c.publishes = registry.counter("artemis_ring_publishes_total",
-                                 "Batches published into the handoff ring");
-  c.futex_wakeups = registry.counter(
-      "artemis_ring_futex_wakeups_total",
-      "Futex notify calls issued by the ring (producer + consumer side)");
-  c.producer_waits =
-      registry.counter("artemis_ring_producer_waits_total",
-                       "acquire() calls that found the slot pool empty");
-  c.occupancy_high =
-      registry.gauge("artemis_ring_occupancy_high_water",
-                     "High-water mark of batches queued in any shard ring");
-  return c;
-}
-
-PipelineCounters register_pipeline(MetricsRegistry& registry) {
-  PipelineCounters c;
-  c.flush_stalls =
-      registry.counter("artemis_pipeline_flush_stalls_total",
-                       "flush() calls that had to wait for worker backlog");
-  return c;
-}
-
 JournalCounters register_journal(MetricsRegistry& registry) {
   JournalCounters c;
   c.appends = registry.counter("artemis_journal_appends_total",

@@ -190,23 +190,6 @@ struct DetectionCounters {
 };
 DetectionCounters register_detection(MetricsRegistry& registry);
 
-/// BatchRing handoff (one bundle per shard ring).
-struct RingCounters {
-  Counter* publishes = nullptr;       ///< batches published to workers
-  Counter* futex_wakeups = nullptr;   ///< futex notify calls (either side)
-  Counter* producer_waits = nullptr;  ///< acquire() calls that had to wait
-  Gauge* occupancy_high = nullptr;    ///< high-water of queued batches
-  bool enabled() const noexcept { return publishes != nullptr; }
-};
-RingCounters register_ring(MetricsRegistry& registry);
-
-/// Sharded pipeline producer side (one bundle per detector).
-struct PipelineCounters {
-  Counter* flush_stalls = nullptr;  ///< flush() calls that found a backlog
-  bool enabled() const noexcept { return flush_stalls != nullptr; }
-};
-PipelineCounters register_pipeline(MetricsRegistry& registry);
-
 /// Journal writer (one bundle per writer).
 struct JournalCounters {
   Counter* appends = nullptr;    ///< append_batch calls

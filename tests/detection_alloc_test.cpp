@@ -504,54 +504,6 @@ TEST(DetectionAllocTest, SteadyStateShardedInlineSubmitIsAllocationFree) {
   EXPECT_EQ(detector.observations_processed(), 3u * 10001u);
 }
 
-TEST(DetectionAllocTest, SteadyStateThreadedBatchRingIsAllocationFree) {
-  // The threaded handoff's whole point: after one warm-up lap of the
-  // BatchRing pool (slots acquire their element buffers, detection
-  // records exist, prescreen scratch at capacity), submit_batch -> ring
-  // scatter -> worker drain -> flush cycles allocate NOTHING on either
-  // side of the ring, under both wait policies. The counter is global, so
-  // this asserts the worker threads' steady state too.
-  for (const auto policy :
-       {pipeline::WaitPolicy::kBusyPoll, pipeline::WaitPolicy::kFutex}) {
-    Config config;
-    OwnedPrefix owned;
-    owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-    owned.legitimate_origins.insert(65001);
-    config.add_owned(std::move(owned));
-    pipeline::ShardedDetectorOptions options;
-    options.shards = 2;
-    options.threaded = true;
-    options.wait_policy = policy;
-    options.queue_capacity = 64;  // small pool: slots recycle every round
-    options.drain_batch = 16;
-    pipeline::ShardedDetector detector(config, options);
-
-    std::vector<feeds::Observation> batch;
-    for (int i = 0; i < 8; ++i) {
-      batch.push_back(make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100 + i));
-      batch.push_back(make_obs("10.0.1.0/24", {9, 666}, "ris-live", 100 + i));
-      batch.push_back(make_obs("203.0.113.0/24", {9, 666}, "bgpmon", 100 + i));
-    }
-    // Prime: several laps so every pool slot has hosted every flavor and
-    // each scatter pattern (full + partial published batches) has run.
-    for (int i = 0; i < 8; ++i) detector.submit_batch(batch);
-    detector.flush();
-
-    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-    for (int i = 0; i < 1000; ++i) {
-      detector.submit_batch(batch);
-      detector.flush();  // barrier: the workers' processing is inside the
-                         // measured window, not smeared past it
-    }
-    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state threaded batch-ring handoff allocated (policy="
-        << std::string(pipeline::to_string(policy)) << ")";
-    detector.stop();
-    EXPECT_EQ(detector.observations_processed(), 24u * 1008u);
-  }
-}
-
 TEST(DetectionAllocTest, InstrumentedProcessBatchIsAllocationFree) {
   // ISSUE 8's zero-allocation telemetry claim, asserted: with a registry
   // wired in (cells registered at startup), the steady-state batch path
@@ -592,50 +544,6 @@ TEST(DetectionAllocTest, InstrumentedProcessBatchIsAllocationFree) {
                 "artemis_detection_observations_total " +
                 std::to_string(7u * 10001u)),
             std::string::npos);
-}
-
-TEST(DetectionAllocTest, InstrumentedThreadedBatchRingIsAllocationFree) {
-  // Same claim across the threaded handoff: per-shard cell bundles and
-  // ring counters (publishes, wakeups, occupancy high-water) ride the
-  // steady state without touching the allocator, under both policies.
-  for (const auto policy :
-       {pipeline::WaitPolicy::kBusyPoll, pipeline::WaitPolicy::kFutex}) {
-    Config config;
-    OwnedPrefix owned;
-    owned.prefix = net::Prefix::must_parse("10.0.0.0/23");
-    owned.legitimate_origins.insert(65001);
-    config.add_owned(std::move(owned));
-    telemetry::MetricsRegistry registry;
-    pipeline::ShardedDetectorOptions options;
-    options.shards = 2;
-    options.threaded = true;
-    options.wait_policy = policy;
-    options.queue_capacity = 64;
-    options.drain_batch = 16;
-    options.metrics = &registry;
-    pipeline::ShardedDetector detector(config, options);
-
-    std::vector<feeds::Observation> batch;
-    for (int i = 0; i < 8; ++i) {
-      batch.push_back(make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100 + i));
-      batch.push_back(make_obs("10.0.1.0/24", {9, 666}, "ris-live", 100 + i));
-      batch.push_back(make_obs("203.0.113.0/24", {9, 666}, "bgpmon", 100 + i));
-    }
-    for (int i = 0; i < 8; ++i) detector.submit_batch(batch);
-    detector.flush();
-
-    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-    for (int i = 0; i < 1000; ++i) {
-      detector.submit_batch(batch);
-      detector.flush();
-    }
-    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state instrumented threaded handoff allocated (policy="
-        << std::string(pipeline::to_string(policy)) << ")";
-    detector.stop();
-    EXPECT_EQ(detector.observations_processed(), 24u * 1008u);
-  }
 }
 
 }  // namespace

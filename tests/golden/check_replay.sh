@@ -48,14 +48,6 @@ for shards in 1 4; do
 done
 echo "ok: golden journal replays bit-identically at shards 1 and 4"
 
-# 2b. Threaded replay (batch-ring handoff, futex wait policy, 4 workers)
-# is the same bits too — determinism across the concurrency mode, not
-# just the shard count.
-"$BUILD_DIR/journal_alerts" --journal "$GOLD_DIR/journal" "${OWNED[@]}" \
-  --shards 4 --threaded --wait-policy futex > "$tmp/alerts_threaded.txt"
-diff "$GOLD_DIR/alerts.txt" "$tmp/alerts_threaded.txt"
-echo "ok: threaded (futex) replay is bit-identical to the golden alerts"
-
 # 3. The fresh journal replays to the same alerts.
 "$BUILD_DIR/journal_alerts" --journal "$tmp/journal" "${OWNED[@]}" \
   --shards 4 > "$tmp/alerts_fresh.txt"

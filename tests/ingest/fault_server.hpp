@@ -10,7 +10,7 @@
 // included), which is what the kill-loop test uses, paced by a dribble
 // knob so SIGKILLs land mid-transfer instead of between requests.
 //
-// Single-threaded accept loop, one connection at a time: the supervisor
+// One accept loop on one thread, one connection at a time: the supervisor
 // under test fetches sequentially, and serialized requests keep the
 // fault schedule deterministic (request k always draws fault k).
 #pragma once

@@ -483,7 +483,6 @@ TEST(CompressedJournalTest, ReplayIsBitIdenticalToRawAtShards1And4) {
     JournalReader reader(dir);
     pipeline::ObservationBatch batch;
     while (reader.read_batch(batch, 97) > 0) detector.submit_batch(batch.view());
-    detector.flush();
     std::vector<std::string> lines;
     for (const auto& alert : detector.merged_alerts()) {
       lines.push_back(alert.to_string());

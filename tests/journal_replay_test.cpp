@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -181,8 +180,8 @@ TEST(JournalReplayTest, CrashRecoveryRebuildsIdenticalDetectionState) {
   }
 
   // Simulate the crash: tear bytes off the journal's tail mid-record.
-  // (Record-bearing segments only — the directory also holds the framing
-  // and index sidecars, which are not the journal's tail.)
+  // (Record-bearing segments only — the directory also holds the index
+  // sidecars, which are not the journal's tail.)
   std::vector<std::string> segments;
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (is_segment_file_name(entry.path().filename().string())) {
@@ -295,150 +294,6 @@ TEST(JournalReplayTest, ReplayChunkSizeDoesNotChangeTheOutcome) {
     for (std::size_t i = 0; i < service.alerts().size(); ++i) {
       expect_same_alert(service.alerts()[i], reference.alerts()[i]);
     }
-  }
-}
-
-TEST(JournalReplayTest, RecordedFramingReproducesExactBatchBoundaries) {
-  // The framing sidecar (ISSUE 8 satellite): with use_recorded_framing,
-  // replay re-emits the writer's exact append_batch boundaries, so a
-  // replayed hub reproduces per-batch statistics — not just detection
-  // output, which is batch-boundary independent anyway.
-  const std::string dir = make_temp_dir("framing");
-  const std::vector<std::size_t> recorded_sizes = {17, 1, 128, 5, 64, 3};
-  std::vector<feeds::Observation> stream;
-  {
-    double t = 100.0;
-    JournalWriter writer(dir);
-    for (const std::size_t size : recorded_sizes) {
-      std::vector<feeds::Observation> batch;
-      for (std::size_t i = 0; i < size; ++i) {
-        feeds::Observation obs;
-        obs.type = feeds::ObservationType::kAnnouncement;
-        obs.source = feeds::intern_source((i % 2) != 0 ? "ris-live" : "bgpmon");
-        obs.vantage = 9;
-        obs.prefix = net::Prefix::must_parse("203.0.113.0/24");
-        obs.attrs.as_path = bgp::AsPath({9, 65001});
-        t += 0.25;
-        obs.event_time = SimTime::at_seconds(t - 5);
-        obs.delivered_at = SimTime::at_seconds(t);
-        batch.push_back(obs);
-        stream.push_back(obs);
-      }
-      writer.append_batch(batch);
-    }
-    writer.close();
-    EXPECT_EQ(writer.batches_written(), recorded_sizes.size());
-  }
-  ASSERT_TRUE(fs::exists(fs::path(dir) / std::string(kFramesFileName)));
-
-  // Framed replay: the emitted chunking IS the recorded chunking.
-  {
-    JournalReader reader(dir);
-    ReplayOptions options;
-    options.use_recorded_framing = true;
-    options.batch_size = 1024;  // would otherwise emit one big batch
-    ReplayFeed feed(reader, options);
-    std::vector<std::size_t> seen;
-    std::uint64_t total = 0;
-    feed.replay_all([&](std::span<const feeds::Observation> span) {
-      seen.push_back(span.size());
-      total += span.size();
-    });
-    EXPECT_EQ(total, stream.size());
-    ASSERT_EQ(seen.size(), recorded_sizes.size());
-    for (std::size_t i = 0; i < recorded_sizes.size(); ++i) {
-      EXPECT_EQ(seen[i], recorded_sizes[i]) << "batch " << i;
-    }
-    ASSERT_EQ(feed.recorded_frames().size(), recorded_sizes.size());
-  }
-
-  // A lost sidecar is not an error: framed replay falls back to
-  // batch_size chunks and still delivers every record.
-  {
-    fs::remove(fs::path(dir) / std::string(kFramesFileName));
-    JournalReader reader(dir);
-    ReplayOptions options;
-    options.use_recorded_framing = true;
-    options.batch_size = 100;
-    ReplayFeed feed(reader, options);
-    std::uint64_t total = 0;
-    std::vector<std::size_t> seen;
-    feed.replay_all([&](std::span<const feeds::Observation> span) {
-      seen.push_back(span.size());
-      total += span.size();
-    });
-    EXPECT_EQ(total, stream.size());
-    EXPECT_TRUE(feed.recorded_frames().empty());
-    EXPECT_EQ(seen.front(), 100u);  // plain fixed-size chunking
-  }
-}
-
-TEST(JournalReplayTest, TornOrLyingFramesSidecarNeverLosesRecords) {
-  // Crash tolerance: a torn trailing varint ends the frame list cleanly
-  // (replay falls back to fixed chunks for the rest), and a sidecar that
-  // over-counts (records lost to a torn segment tail) is clamped to what
-  // is actually on disk. Either way every surviving record replays once.
-  const std::string dir = make_temp_dir("torn_frames");
-  const std::vector<std::size_t> recorded_sizes = {40, 40, 40};
-  {
-    double t = 100.0;
-    JournalWriter writer(dir);
-    for (const std::size_t size : recorded_sizes) {
-      std::vector<feeds::Observation> batch;
-      for (std::size_t i = 0; i < size; ++i) {
-        feeds::Observation obs;
-        obs.type = feeds::ObservationType::kAnnouncement;
-        obs.source = feeds::intern_source("ris-live");
-        obs.vantage = 9;
-        obs.prefix = net::Prefix::must_parse("203.0.113.0/24");
-        obs.attrs.as_path = bgp::AsPath({9, 65001});
-        t += 0.25;
-        obs.event_time = SimTime::at_seconds(t - 5);
-        obs.delivered_at = SimTime::at_seconds(t);
-        batch.push_back(obs);
-      }
-      writer.append_batch(batch);
-    }
-    writer.close();
-  }
-  const fs::path sidecar = fs::path(dir) / std::string(kFramesFileName);
-
-  // Append a lying frame claiming 200 more records than exist.
-  {
-    std::ofstream out(sidecar, std::ios::binary | std::ios::app);
-    out.put(static_cast<char>(0xC8));  // varint 200 = 0xC8 0x01
-    out.put(static_cast<char>(0x01));
-  }
-  {
-    JournalReader reader(dir);
-    ReplayOptions options;
-    options.use_recorded_framing = true;
-    ReplayFeed feed(reader, options);
-    std::uint64_t total = 0;
-    feed.replay_all(
-        [&](std::span<const feeds::Observation> span) { total += span.size(); });
-    EXPECT_EQ(total, 120u);  // the lying frame was clamped, nothing duplicated
-  }
-
-  // Tear the sidecar mid-varint: the parser stops at the torn tail.
-  {
-    std::error_code ec;
-    const auto size = fs::file_size(sidecar, ec);
-    ASSERT_FALSE(ec);
-    fs::resize_file(sidecar, size - 1, ec);
-    ASSERT_FALSE(ec);
-  }
-  {
-    JournalReader reader(dir);
-    ReplayOptions options;
-    options.use_recorded_framing = true;
-    options.batch_size = 7;
-    ReplayFeed feed(reader, options);
-    std::uint64_t total = 0;
-    feed.replay_all(
-        [&](std::span<const feeds::Observation> span) { total += span.size(); });
-    EXPECT_EQ(total, 120u);
-    EXPECT_EQ(feed.recorded_frames().size(), recorded_sizes.size());
   }
 }
 

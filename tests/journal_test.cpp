@@ -164,8 +164,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CodecRoundTrip,
 
 // --------------------------------------------------- writer/reader I/O
 
-/// Path of the single (or first) segment in `dir` (the framing sidecar
-/// and other non-segment files are skipped).
+/// Path of the single (or first) segment in `dir` (index sidecars and
+/// other non-segment files are skipped).
 std::string first_segment(const std::string& dir) {
   std::vector<std::string> segments;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -392,23 +392,53 @@ TEST(JournalWriterTest, ResumeTruncatesTornTailThenContinues) {
 TEST(JournalWriterTest, StrayNonHexSegmentNamesAreIgnored) {
   // A file matching the seg-*.aj shape but with non-hex digits is not a
   // segment: resume must not try to parse it and the reader must not
-  // try to decode it.
+  // try to decode it. The same holds for the batch-frames.ajf sidecar
+  // older writers left in every journal: nothing reads it any more, and
+  // a journal that holds one still replays and resumes.
   const std::string dir = make_temp_dir("stray");
   const auto stream = random_stream(43, 20);
   write_journal(dir, stream);
   std::ofstream stray(dir + "/seg-zzzzzzzzzzzzzzzz.aj", std::ios::binary);
   stray << "not a segment";
   stray.close();
+  // The legacy sidecar's layout: an 8-byte magic, then one varint batch
+  // size per append (here the single 20-record batch).
+  const std::string legacy_frames = std::string("AJFRAME1") + char{20};
+  std::ofstream frames(dir + "/batch-frames.ajf", std::ios::binary);
+  frames << legacy_frames;
+  frames.close();
 
   {
-    JournalWriter writer(dir);  // resume ignores the stray file
+    JournalWriter writer(dir);  // resume ignores the stray files
     EXPECT_EQ(writer.next_sequence(), stream.size());
   }
+  {
+    JournalReader reader(dir);
+    // Just the original: close() reclaims the resume's record-less
+    // continuation segment, so a no-op reopen leaves the journal as found.
+    EXPECT_EQ(reader.segment_count(), 1u);
+    EXPECT_EQ(read_all(reader).size(), stream.size());
+  }
+
+  const auto more = random_stream(44, 15);
+  {
+    JournalWriter writer(dir);  // resume and append past the stray files
+    EXPECT_EQ(writer.next_sequence(), stream.size());
+    writer.append_batch(more);
+  }
   JournalReader reader(dir);
-  // Just the original: close() reclaims the resume's record-less
-  // continuation segment, so a no-op reopen leaves the journal as found.
-  EXPECT_EQ(reader.segment_count(), 1u);
-  EXPECT_EQ(read_all(reader).size(), stream.size());
+  EXPECT_EQ(reader.segment_count(), 2u);
+  const auto all = read_all(reader);
+  ASSERT_EQ(all.size(), stream.size() + more.size());
+  for (std::size_t i = 0; i < more.size(); ++i) {
+    EXPECT_EQ(all[stream.size() + i].prefix, more[i].prefix);
+    EXPECT_EQ(all[stream.size() + i].event_time, more[i].event_time);
+  }
+  // The writer leaves the legacy sidecar as it found it.
+  std::ifstream in(dir + "/batch-frames.ajf", std::ios::binary);
+  const std::string after((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(after, legacy_frames);
 }
 
 TEST(JournalWriterTest, ResumeReclaimsHeaderOnlySegment) {

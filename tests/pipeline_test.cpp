@@ -3,19 +3,17 @@
 // The two load-bearing suites are the oracles the ISSUE asks for:
 //   * BatchVsLoopOracle — DetectionService::process_batch must equal
 //     repeated process() exactly (alerts, counts, first-seen times).
-//   * ShardedEquivalence — ShardedDetector{N=1} and {N=4}, inline and
-//     threaded, must produce bit-identical merged output.
+//   * ShardedEquivalence — ShardedDetector{N=1} and {N=4} must produce
+//     bit-identical merged output.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "artemis/detection.hpp"
 #include "feeds/monitor_hub.hpp"
 #include "pipeline/observation_batch.hpp"
 #include "pipeline/sharded_detector.hpp"
-#include "pipeline/spsc_ring.hpp"
 #include "rpki/roa.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
@@ -103,52 +101,6 @@ void expect_same_alert(const HijackAlert& a, const HijackAlert& b) {
   EXPECT_EQ(a.source, b.source);
   EXPECT_EQ(a.event_time, b.event_time);
   EXPECT_EQ(a.detected_at, b.detected_at);
-}
-
-// ---------------------------------------------------------------- SpscRing
-
-TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  SpscRing<int> ring(100);
-  EXPECT_EQ(ring.capacity(), 128u);
-  SpscRing<int> tiny(1);
-  EXPECT_EQ(tiny.capacity(), 2u);
-}
-
-TEST(SpscRingTest, FifoOrderAndWraparound) {
-  SpscRing<int> ring(4);  // capacity 4
-  int out = 0;
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(round * 4 + i));
-    EXPECT_FALSE(ring.try_push(999));  // full
-    for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(ring.try_pop(out));
-      EXPECT_EQ(out, round * 4 + i);
-    }
-    EXPECT_FALSE(ring.try_pop(out));  // empty
-  }
-}
-
-TEST(SpscRingTest, CrossThreadTransferPreservesSequence) {
-  SpscRing<int> ring(64);
-  constexpr int kCount = 100000;
-  std::vector<int> received;
-  received.reserve(kCount);
-  std::thread consumer([&] {
-    int value = 0;
-    while (static_cast<int>(received.size()) < kCount) {
-      if (ring.try_pop(value)) {
-        received.push_back(value);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (int i = 0; i < kCount; ++i) {
-    while (!ring.try_push(int{i})) std::this_thread::yield();
-  }
-  consumer.join();
-  ASSERT_EQ(received.size(), static_cast<std::size_t>(kCount));
-  for (int i = 0; i < kCount; ++i) ASSERT_EQ(received[i], i);
 }
 
 // --------------------------------------------------------- ObservationBatch
@@ -378,7 +330,7 @@ TEST(ShardedDetectorTest, ShardedVsSingleThreadEquivalence) {
   const Config config = make_config();
   const auto stream = scenario_stream(7, 4000);
 
-  // Reference: deterministic single-threaded N=1 mode.
+  // Reference: the deterministic N=1 detector.
   ShardedDetectorOptions ref_options;
   ref_options.shards = 1;
   ShardedDetector reference(config, ref_options);
@@ -415,30 +367,6 @@ TEST(ShardedDetectorTest, ShardedVsSingleThreadEquivalence) {
     EXPECT_EQ(across, stream.size());
     check(inline4);
   }
-  {
-    ShardedDetectorOptions options;
-    options.shards = 4;
-    options.threaded = true;
-    options.queue_capacity = 256;  // small ring: exercises backpressure
-    options.drain_batch = 32;
-    ShardedDetector threaded4(config, options);
-    for (std::size_t i = 0; i < stream.size(); i += 100) {
-      threaded4.submit_batch({stream.data() + i, std::min<std::size_t>(100, stream.size() - i)});
-    }
-    threaded4.flush();
-    check(threaded4);
-    threaded4.stop();
-    check(threaded4);  // stop() must not lose or duplicate anything
-  }
-  {
-    ShardedDetectorOptions options;
-    options.shards = 1;
-    options.threaded = true;
-    ShardedDetector threaded1(config, options);
-    threaded1.submit_batch(stream);
-    threaded1.flush();
-    check(threaded1);
-  }
 }
 
 TEST(ShardedDetectorTest, AlertHandlersFireOnEveryShard) {
@@ -454,20 +382,6 @@ TEST(ShardedDetectorTest, AlertHandlersFireOnEveryShard) {
   EXPECT_GT(seen.size(), 0u);
 }
 
-TEST(ShardedDetectorTest, ThreadedLateHandlerRegistrationThrows) {
-  const Config config = make_config();
-  ShardedDetectorOptions options;
-  options.shards = 2;
-  options.threaded = true;
-  ShardedDetector detector(config, options);
-  detector.on_alert([](const HijackAlert&) {});  // before submit: fine
-  detector.submit(make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100));
-  // After observations are in flight, registration would race the
-  // workers' handler iteration.
-  EXPECT_THROW(detector.on_alert([](const HijackAlert&) {}), std::logic_error);
-  detector.flush();
-}
-
 TEST(ShardedDetectorTest, AttachConsumesHubBatches) {
   const Config config = make_config();
   feeds::MonitorHub hub;
@@ -481,10 +395,9 @@ TEST(ShardedDetectorTest, AttachConsumesHubBatches) {
 }
 
 TEST(ShardedDetectorTest, DeterminismMatrixAcrossModesPoliciesAndPinning) {
-  // The acceptance matrix: shards {1,4} x {inline,threaded} x wait policy
-  // {busy_poll,futex} x {pinned,unpinned} all reproduce the N=1 inline
-  // reference bit-for-bit. (Inline dispatch never touches the ring, so
-  // policy/pin only multiply the threaded legs.)
+  // The acceptance matrix: shards {1,4} reproduce the N=1 reference
+  // bit-for-bit, whether a stream arrives as one span or in uneven
+  // chunks.
   const Config config = make_config();
   const auto stream = scenario_stream(13, 3000);
 
@@ -513,28 +426,18 @@ TEST(ShardedDetectorTest, DeterminismMatrixAcrossModesPoliciesAndPinning) {
       inline_run.submit_batch(stream);
       check(inline_run);
     }
-    for (const WaitPolicy policy : {WaitPolicy::kBusyPoll, WaitPolicy::kFutex}) {
-      for (const bool pin : {false, true}) {
-        ShardedDetectorOptions options;
-        options.shards = shards;
-        options.threaded = true;
-        options.wait_policy = policy;
-        options.pin_workers = pin;
-        options.queue_capacity = 256;  // small ring: exercise backpressure
-        options.drain_batch = 32;
-        ShardedDetector threaded(config, options);
-        // Uneven submit chunks so staged partial batches get published.
-        std::size_t i = 0;
-        for (std::size_t chunk = 1; i < stream.size(); chunk = chunk % 97 + 13) {
-          const std::size_t n = std::min(chunk, stream.size() - i);
-          threaded.submit_batch({stream.data() + i, n});
-          i += n;
-        }
-        threaded.flush();
-        check(threaded);
-        threaded.stop();
-        check(threaded);  // stop() must not lose or duplicate anything
+    {
+      // Uneven submit chunks: same-shard runs split at every boundary.
+      ShardedDetectorOptions options;
+      options.shards = shards;
+      ShardedDetector chunked(config, options);
+      std::size_t i = 0;
+      for (std::size_t chunk = 1; i < stream.size(); chunk = chunk % 97 + 13) {
+        const std::size_t n = std::min(chunk, stream.size() - i);
+        chunked.submit_batch({stream.data() + i, n});
+        i += n;
       }
+      check(chunked);
     }
   }
 }
@@ -587,30 +490,6 @@ TEST(ShardedDetectorTest, MetricsDoNotPerturbDeterminismMatrix) {
       ShardedDetector inline_run(config, options);
       inline_run.submit_batch(stream);
       check(inline_run, registry);
-    }
-    for (const WaitPolicy policy : {WaitPolicy::kBusyPoll, WaitPolicy::kFutex}) {
-      telemetry::MetricsRegistry registry;
-      ShardedDetectorOptions options;
-      options.shards = shards;
-      options.threaded = true;
-      options.wait_policy = policy;
-      options.metrics = &registry;
-      options.queue_capacity = 256;
-      options.drain_batch = 32;
-      ShardedDetector threaded(config, options);
-      std::size_t i = 0;
-      for (std::size_t chunk = 1; i < stream.size(); chunk = chunk % 97 + 13) {
-        const std::size_t n = std::min(chunk, stream.size() - i);
-        threaded.submit_batch({stream.data() + i, n});
-        i += n;
-      }
-      threaded.flush();
-      threaded.stop();
-      check(threaded, registry);
-      // The ring instrumentation saw real traffic in threaded mode.
-      const auto publishes =
-          registry.render_prometheus().find("artemis_ring_publishes_total 0\n");
-      EXPECT_EQ(publishes, std::string::npos);
     }
   }
 }
@@ -689,8 +568,7 @@ TEST(ShardedDetectorTest, ReloadUnderLoadMatrixIsDeterministic) {
   }
 
   // (a): the matrix. Reload fires at the same stream position in every
-  // leg; threaded legs submit in uneven chunks so the swap lands with
-  // staged partials and in-flight ring batches to drain.
+  // leg.
   auto check = [&](ShardedDetector& other) {
     EXPECT_EQ(other.observations_processed(), reference.observations_processed());
     EXPECT_EQ(other.observations_matched(), reference.observations_matched());
@@ -714,70 +592,7 @@ TEST(ShardedDetectorTest, ReloadUnderLoadMatrixIsDeterministic) {
       inline_run.submit_batch(tail);
       check(inline_run);
     }
-    for (const WaitPolicy policy : {WaitPolicy::kBusyPoll, WaitPolicy::kFutex}) {
-      ShardedDetectorOptions options;
-      options.shards = shards;
-      options.threaded = true;
-      options.wait_policy = policy;
-      options.queue_capacity = 256;
-      options.drain_batch = 32;
-      ShardedDetector threaded(before, options);
-      const auto feed = [&](std::span<const Observation> part) {
-        std::size_t i = 0;
-        for (std::size_t chunk = 1; i < part.size(); chunk = chunk % 97 + 13) {
-          const std::size_t n = std::min(chunk, part.size() - i);
-          threaded.submit_batch(part.subspan(i, n));
-          i += n;
-        }
-      };
-      feed(head);
-      threaded.reload(after_table);  // drains in-flight, then swaps
-      feed(tail);
-      threaded.flush();
-      check(threaded);
-      threaded.stop();
-      check(threaded);
-    }
   }
-}
-
-TEST(ShardedDetectorTest, ReloadFromNonProducerThreadThrows) {
-  const Config config = make_config();
-  ShardedDetectorOptions options;
-  options.shards = 2;
-  options.threaded = true;
-  ShardedDetector detector(config, options);
-  detector.submit(make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100));
-  const auto table = config.build_table();
-  std::exception_ptr thrown;
-  std::thread([&] {
-    try {
-      detector.reload(table);
-    } catch (...) {
-      thrown = std::current_exception();
-    }
-  }).join();
-  EXPECT_TRUE(thrown != nullptr);
-  detector.flush();
-  detector.stop();
-}
-
-TEST(ShardedDetectorTest, FlushFromNonProducerThreadThrows) {
-  // flush() waits for the workers by spinning on the producer's own
-  // counters; calling it from a second thread would race the (single)
-  // producer contract, so it must refuse loudly instead of corrupting.
-  const Config config = make_config();
-  ShardedDetectorOptions options;
-  options.shards = 2;
-  options.threaded = true;
-  ShardedDetector detector(config, options);
-  detector.submit(make_obs("10.0.0.0/23", {9, 666}, "ris-live", 100));
-  std::thread other([&] {
-    EXPECT_THROW(detector.flush(), std::logic_error);
-  });
-  other.join();
-  detector.flush();  // the producer thread itself is still allowed
-  EXPECT_EQ(detector.observations_processed(), 1u);
 }
 
 // ------------------------------------------------------------- hub batching

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 #include "artemis/scenario.hpp"
 
 namespace artemis::core {
@@ -99,6 +102,48 @@ TEST(ScenarioTest, JournalFsyncPolicyParses) {
   EXPECT_THROW(load_scenario_text(R"({"experiment":{"victim":"stub:0",
       "attacker":"stub:1","journal_fsync":"sometimes"}})"),
                std::invalid_argument);
+}
+
+TEST(ScenarioTest, LegacyDetectionKeysLoadAndReplayToTheSameAlerts) {
+  // Scenario files written for older builds may carry detection dispatch
+  // keys that no longer exist. The loader ignores unknown keys, so such a
+  // file still loads, runs and replays to exactly the alerts of the same
+  // scenario without them.
+  const auto scenario_with = [](const std::string& journal_dir,
+                                const std::string& extra) {
+    return load_scenario_text(R"({
+      "seed": 7,
+      "topology": {"tier1": 4, "tier2": 20, "stubs": 80},
+      "network": {"mrai_s": 10, "max_prefix_len": 24},
+      "experiment": {
+        "victim_prefix": "10.0.0.0/23",
+        "victim": "stub:0",
+        "attacker": "stub:-1",
+        "hijack_at_s": 600,
+        "horizon_min": 15,)" + extra + R"(
+        "journal_dir": ")" + journal_dir + R"("
+      }
+    })");
+  };
+  const std::string base_dir = ::testing::TempDir() + "artemis_scenario_plain";
+  const std::string legacy_dir = ::testing::TempDir() + "artemis_scenario_legacy";
+  std::filesystem::remove_all(base_dir);
+  std::filesystem::remove_all(legacy_dir);
+  const auto base = scenario_with(base_dir, "");
+  const auto legacy = scenario_with(legacy_dir, R"(
+        "detection_threaded": true,
+        "detection_wait_policy": "futex",
+        "detection_pin": true,)");
+
+  EXPECT_EQ(result_to_json(legacy.run()).dump(), result_to_json(base.run()).dump());
+
+  const auto base_replay = replay_scenario_journal(base, base_dir);
+  const auto legacy_replay = replay_scenario_journal(legacy, legacy_dir);
+  ASSERT_GT(base_replay.at("alerts").as_array().size(), 0u);
+  EXPECT_EQ(legacy_replay.at("alerts").dump(), base_replay.at("alerts").dump());
+  EXPECT_EQ(legacy_replay.at("replayed").as_int(), base_replay.at("replayed").as_int());
+  std::filesystem::remove_all(base_dir);
+  std::filesystem::remove_all(legacy_dir);
 }
 
 TEST(ScenarioTest, RejectsBadDocuments) {

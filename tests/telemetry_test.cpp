@@ -366,7 +366,6 @@ TEST(TelemetryIngestTest, LiveIngestServesLedgerDelayAndHealth) {
   MetricsServer server(registry, server_options);
 
   const ingest::IngestReport report = supervisor.run();
-  detector.flush();
   ASSERT_EQ(report.sources.size(), 1u);
   const ingest::SourceReport& sr = report.sources[0];
   ASSERT_EQ(sr.outcome, ingest::FetchOutcome::kOk);

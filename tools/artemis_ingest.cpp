@@ -54,10 +54,6 @@
 //                       fails to parse is logged and the previous table
 //                       stays live (see docs/operations.md).
 //   --detect-shards N   detection shard count (default 1), with --detect
-//   --detect-threaded   one worker thread per shard (batch-granular ring
-//                       handoff); the ingest thread is the sole producer
-//   --wait-policy P     busy_poll | futex, with --detect-threaded
-//   --pin               pin shard workers to CPUs, with --detect-threaded
 //
 // Exit status: 0 every URL ingested clean, 3 partial (some URL failed or
 // tore mid-archive; everything recovered IS in the journal), 1 hard error
@@ -86,7 +82,7 @@ namespace {
 bool g_stats_json_on_error = false;
 
 // SIGHUP = reload the --detect ownership config. The handler only sets
-// the flag; the ingest thread (the detector's single producer) notices
+// the flag; the ingest thread, which also runs detection, notices
 // it at the next batch boundary and performs the swap there, so the
 // reload never races a batch in flight.
 volatile std::sig_atomic_t g_reload_requested = 0;
@@ -110,9 +106,7 @@ artemis::core::Config load_detect_config(const std::string& path) {
                "[--max-lag N] [--policy flush|drop] [--seed N] [--source NAME] "
                "[--batch N] [--stats-json] [--metrics-port N] "
                "[--metrics-snapshot FILE [--metrics-interval-ms N]] "
-               "[--detect CONFIG.json "
-               "[--detect-shards N] [--detect-threaded "
-               "[--wait-policy busy_poll|futex] [--pin]]] <url...>\n");
+               "[--detect CONFIG.json [--detect-shards N]] <url...>\n");
   if (g_stats_json_on_error) {
     artemis::json::Object err;
     err["error"] = artemis::json::Value(std::string(what));
@@ -143,8 +137,7 @@ int main(int argc, char** argv) {
   bool stats_json = false;
   std::string detect_config_path;
   pipeline::ShardedDetectorOptions detect_options;
-  bool detect_subflags = false;   // any --detect-shards/--detect-threaded
-  bool threaded_subflags = false; // any --wait-policy/--pin
+  bool detect_subflags = false;   // --detect-shards given
   long metrics_port = -1;         // -1 = no HTTP server
   std::string metrics_snapshot;
   long metrics_interval_ms = 1000;
@@ -221,18 +214,6 @@ int main(int argc, char** argv) {
       if (n > 1024) usage_error("--detect-shards must be in [1, 1024]");
       detect_options.shards = static_cast<std::size_t>(n);
       detect_subflags = true;
-    } else if (arg == "--detect-threaded") {
-      detect_options.threaded = true;
-      detect_subflags = true;
-    } else if (arg == "--wait-policy") {
-      if (!pipeline::parse_wait_policy(flag_value("--wait-policy"),
-                                       detect_options.wait_policy)) {
-        usage_error("--wait-policy must be busy_poll or futex");
-      }
-      threaded_subflags = true;
-    } else if (arg == "--pin") {
-      detect_options.pin_workers = true;
-      threaded_subflags = true;
     } else if (!arg.empty() && arg.front() == '-') {
       usage_error(("unknown option " + std::string(arg)).c_str());
     } else {
@@ -243,10 +224,7 @@ int main(int argc, char** argv) {
   if (urls.empty()) usage_error("no URLs given");
   // Reject silently-ignored combinations, same as the other CLIs.
   if (detect_config_path.empty() && detect_subflags) {
-    usage_error("--detect-shards/--detect-threaded require --detect");
-  }
-  if (threaded_subflags && !detect_options.threaded) {
-    usage_error("--wait-policy/--pin require --detect-threaded");
+    usage_error("--detect-shards requires --detect");
   }
 
   // One registry for the whole process; every stage registers its cells
@@ -263,8 +241,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<ingest::IngestSupervisor> supervisor;
   try {
     // Live detection tap: built before the supervisor so the pipeline
-    // options carry the bound handler. The ingest thread is the single
-    // producer the threaded detector requires.
+    // options carry the bound handler. Detection runs inline on the
+    // ingest thread.
     std::unique_ptr<pipeline::ShardedDetector> detector;
     if (!detect_config_path.empty()) {
       core::Config detect_config;
@@ -278,7 +256,7 @@ int main(int argc, char** argv) {
       detector = std::make_unique<pipeline::ShardedDetector>(
           detect_config.build_table(), detect_options);
       // Incremental reload: SIGHUP re-reads the config file and swaps
-      // the ownership snapshot in on the producer thread, at a batch
+      // the ownership snapshot in on the ingest thread, at a batch
       // boundary. A bad config keeps the previous table live — an
       // operator typo must never take detection down.
       std::signal(SIGHUP, request_reload);
@@ -344,19 +322,16 @@ int main(int argc, char** argv) {
 
     const ingest::IngestReport report = supervisor->run();
     if (detector) {
-      detector->flush();
       const auto alerts = detector->merged_alerts();
       for (const auto& alert : alerts) {
         std::fprintf(stderr, "alert: %s\n", alert.to_string().c_str());
       }
       std::fprintf(stderr,
                    "detection: %llu observations, %zu merged alerts "
-                   "(%zu shards, %s, %s)\n",
+                   "(%zu shards)\n",
                    static_cast<unsigned long long>(
                        detector->observations_processed()),
-                   alerts.size(), detector->shard_count(),
-                   detect_options.threaded ? "threaded" : "inline",
-                   std::string(to_string(detect_options.wait_policy)).c_str());
+                   alerts.size(), detector->shard_count());
     }
     for (const auto& sr : report.sources) {
       if (sr.state == ingest::SourceState::kFailed) {

@@ -21,12 +21,6 @@
 //                   one of --owned/--config is required.
 //   --shards N      detection shard count (default 1). Output is
 //                   bit-identical for every N — that is the point.
-//   --threaded      one worker thread per shard (batch-granular ring
-//                   handoff) instead of inline dispatch. Output is still
-//                   bit-identical — the CI gate replays a threaded leg
-//                   against the same golden file.
-//   --wait-policy P busy_poll (default) or futex, with --threaded
-//   --pin           pin shard workers to consecutive CPUs, with --threaded
 //   --since-us N    only replay records with event time >= N sim-micros
 //   --until-us N    only replay records with event time <= N sim-micros
 //   --no-prune      do not project the owned prefixes into the journal
@@ -67,8 +61,7 @@ namespace {
   std::fprintf(stderr, "error: %s\n", what);
   std::fprintf(stderr,
                "usage: journal_alerts --journal DIR (--owned PREFIX=ASN[,ASN...] "
-               "| --config FILE) [--owned ...] [--shards N] [--threaded "
-               "[--wait-policy busy_poll|futex] [--pin]] "
+               "| --config FILE) [--owned ...] [--shards N] "
                "[--since-us N] [--until-us N] [--no-prune]\n");
   std::exit(2);
 }
@@ -124,13 +117,9 @@ int main(int argc, char** argv) {
   std::string config_path;
   std::vector<core::OwnedPrefix> owned_flags;
   std::size_t shards = 1;
-  bool threaded = false;
-  bool pin = false;
   bool prune = true;
   std::int64_t since_us = std::numeric_limits<std::int64_t>::min();
   std::int64_t until_us = std::numeric_limits<std::int64_t>::max();
-  pipeline::WaitPolicy wait_policy = pipeline::WaitPolicy::kBusyPoll;
-  bool wait_policy_given = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -158,15 +147,6 @@ int main(int argc, char** argv) {
         usage_error("--shards must be an integer in [1, 1024]");
       }
       shards = static_cast<std::size_t>(n);
-    } else if (arg == "--threaded") {
-      threaded = true;
-    } else if (arg == "--wait-policy") {
-      if (!pipeline::parse_wait_policy(flag_value("--wait-policy"), wait_policy)) {
-        usage_error("--wait-policy must be busy_poll or futex");
-      }
-      wait_policy_given = true;
-    } else if (arg == "--pin") {
-      pin = true;
     } else {
       usage_error(("unknown argument " + std::string(arg)).c_str());
     }
@@ -174,9 +154,6 @@ int main(int argc, char** argv) {
   if (journal_dir.empty()) usage_error("--journal DIR is required");
   if (owned_flags.empty() && config_path.empty()) {
     usage_error("at least one --owned PREFIX=ASN or a --config FILE is required");
-  }
-  if ((wait_policy_given || pin) && !threaded) {
-    usage_error("--wait-policy/--pin require --threaded");
   }
 
   try {
@@ -195,9 +172,6 @@ int main(int argc, char** argv) {
 
     pipeline::ShardedDetectorOptions options;
     options.shards = shards;
-    options.threaded = threaded;
-    options.wait_policy = wait_policy;
-    options.pin_workers = pin;
     pipeline::ShardedDetector detector(config, options);
     feeds::MonitorHub hub;
     detector.attach(hub);
@@ -230,8 +204,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(reader.records_scanned()));
     }
 
-    // Threaded: barrier before reading merged state.
-    detector.flush();
     const auto alerts = detector.merged_alerts();
     for (const auto& alert : alerts) {
       std::printf("%s\n", alert.to_string().c_str());
