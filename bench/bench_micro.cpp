@@ -8,7 +8,6 @@
 #include "bgp/rib.hpp"
 #include "json/json.hpp"
 #include "mrt/mrt.hpp"
-#include "mrt/stream_reader.hpp"
 #include "netbase/prefix_trie.hpp"
 #include "util/rng.hpp"
 
@@ -158,25 +157,6 @@ void BM_MrtEncodeUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MrtEncodeUpdate);
-
-void BM_MrtDecodeElems(benchmark::State& state) {
-  Rng rng(5);
-  mrt::ByteWriter stream;
-  const int records = 256;
-  for (int i = 0; i < records; ++i) {
-    mrt::UpdateRecord rec;
-    rec.peer_asn = 64500;
-    rec.update = sample_update(rng);
-    stream.bytes(mrt::encode_update_record(rec));
-  }
-  std::size_t elems = 0;
-  for (auto _ : state) {
-    elems = mrt::read_elems(stream.data()).size();
-    benchmark::DoNotOptimize(elems);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(elems));
-}
-BENCHMARK(BM_MrtDecodeElems);
 
 void BM_DetectionProcess(benchmark::State& state) {
   // Worst-case-ish mix: 1 in 16 observations overlaps the owned prefix.

@@ -13,10 +13,6 @@
 //                             (encode + buffered write(2)). The
 //                             bytes_per_obs counter tracks journal
 //                             density.
-//   * BM_MrtLegacyElemAdapter — the BatchFeed-shaped baseline: ElemReader
-//                             elems materialized per record and adapted
-//                             per observation (allocates); the margin
-//                             over this is the tentpole's win.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -25,7 +21,6 @@
 
 #include "journal/writer.hpp"
 #include "mrt/observation_convert.hpp"
-#include "mrt/stream_reader.hpp"
 #include "util/rng.hpp"
 
 using namespace artemis;
@@ -208,44 +203,6 @@ void BM_MrtImportToJournal(benchmark::State& state) {
   fs::remove_all(dir);
 }
 BENCHMARK(BM_MrtImportToJournal);
-
-void BM_MrtLegacyElemAdapter(benchmark::State& state) {
-  // What BatchFeed::deliver_file does today: materialize every elem,
-  // build a fresh observation vector per window.
-  const auto& window = updates_window();
-  const std::uint64_t obs_per_pass = count_observations(window);
-  for (auto _ : state) {
-    const auto elems = mrt::read_elems(window);
-    std::vector<feeds::Observation> batch;
-    batch.reserve(elems.size());
-    for (const auto& elem : elems) {
-      feeds::Observation& obs = batch.emplace_back();
-      switch (elem.type) {
-        case mrt::ElemType::kAnnounce:
-          obs.type = feeds::ObservationType::kAnnouncement;
-          break;
-        case mrt::ElemType::kWithdraw:
-          obs.type = feeds::ObservationType::kWithdrawal;
-          break;
-        case mrt::ElemType::kRibEntry:
-          obs.type = feeds::ObservationType::kRouteState;
-          break;
-      }
-      obs.source = feeds::intern_source("batch-updates");
-      obs.vantage = elem.peer_asn;
-      obs.prefix = elem.prefix;
-      obs.attrs = elem.attrs;
-      obs.event_time = elem.timestamp;
-      obs.delivered_at = elem.timestamp;
-    }
-    benchmark::DoNotOptimize(batch.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(obs_per_pass));
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(window.size()));
-}
-BENCHMARK(BM_MrtLegacyElemAdapter);
 
 }  // namespace
 

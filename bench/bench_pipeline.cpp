@@ -1,15 +1,9 @@
 // Pipeline throughput benchmarks (ROADMAP "Pipeline architecture").
 //
-// Measures the three tiers of the observation path on one realistic
-// workload (bursty merged-feed stream, 1-in-16 groups hijack-relevant):
-//   * BM_CallbackPath        — per-observation publish through the hub's
-//                              per-observation shim into process(): the
-//                              pre-batching architecture, kept as the
-//                              comparison baseline.
+// Measures the tiers of the observation path on one realistic workload
+// (bursty merged-feed stream, 1-in-16 groups hijack-relevant):
 //   * BM_BatchPath/<B>       — hub.publish_batch spans of B into
-//                              process_batch: the batch-first path. The
-//                              acceptance bar is ≥ 2x BM_CallbackPath
-//                              items/s at B ≥ 256.
+//                              process_batch: the production path.
 //   * BM_TableBatchPath/owned:<N> — BM_BatchPath at B=256 against N
 //                              owned prefixes (1k / 100k / 1M), with a
 //                              mixed-length stream over the table's space.
@@ -82,22 +76,6 @@ const std::vector<feeds::Observation>& workload() {
   }();
   return stream;
 }
-
-void BM_CallbackPath(benchmark::State& state) {
-  const core::Config config = make_config();
-  core::DetectionService detector(config);
-  feeds::MonitorHub hub;
-  // The pre-pipeline wiring: a per-observation handler chain.
-  hub.subscribe([&detector](const feeds::Observation& obs) { detector.process(obs); });
-  const auto& stream = workload();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    hub.publish(stream[i]);
-    i = (i + 1) & (stream.size() - 1);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CallbackPath);
 
 void BM_BatchPath(benchmark::State& state) {
   const core::Config config = make_config();

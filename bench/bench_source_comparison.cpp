@@ -75,9 +75,9 @@ std::map<std::string, LegacyOutcome> run_legacy(const BenchArgs& args,
                                       rng.fork("op-batch"), "batch-15m+manual");
   baseline::LegacyPipeline rib_pipe(config, sim, operator_model, rng.fork("op-rib"),
                                     "rib-2h+manual");
-  stream.subscribe(stream_pipe.inlet());
-  batch.subscribe(batch_pipe.inlet());
-  rib.subscribe(rib_pipe.inlet());
+  stream.subscribe_batch(stream_pipe.batch_inlet());
+  batch.subscribe_batch(batch_pipe.batch_inlet());
+  rib.subscribe_batch(rib_pipe.batch_inlet());
 
   const auto prefix = scenario.params.victim_prefix;
   auto& victim = network.speaker(scenario.params.victim);

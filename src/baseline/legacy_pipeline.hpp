@@ -49,8 +49,8 @@ class LegacyPipeline {
   LegacyPipeline(const core::Config& config, sim::Simulator& sim, OperatorModel model,
                  Rng rng, std::string name);
 
-  /// Handler to subscribe to a feed.
-  feeds::ObservationHandler inlet();
+  /// Batch handler to subscribe to a feed (feeds::*::subscribe_batch).
+  feeds::ObservationBatchHandler batch_inlet();
 
   const std::string& name() const { return name_; }
 

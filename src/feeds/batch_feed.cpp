@@ -1,14 +1,23 @@
 #include "feeds/batch_feed.hpp"
 
-#include "mrt/stream_reader.hpp"
-
 namespace artemis::feeds {
+namespace {
+
+/// Converter options that label every observation with the feed's name.
+mrt::ObservationConvertOptions single_source(const std::string& name) {
+  mrt::ObservationConvertOptions options;
+  options.source_prefix = name;
+  options.source_scheme = mrt::ImportSourceScheme::kSingle;
+  return options;
+}
+
+}  // namespace
 
 BatchFeed::BatchFeed(sim::Network& network, BatchFeedParams params, Rng rng)
     : network_(network),
       params_(std::move(params)),
-      source_(intern_source(params_.name)),
-      rng_(rng) {
+      rng_(rng),
+      converter_(single_source(params_.name)) {
   if (params_.mode == BatchMode::kUpdates) {
     for (const auto vantage : params_.vantages) {
       network_.speaker(vantage).add_change_tap(
@@ -18,10 +27,6 @@ BatchFeed::BatchFeed(sim::Network& network, BatchFeedParams params, Rng rng)
     }
   }
   schedule_next_window();
-}
-
-void BatchFeed::subscribe(ObservationHandler handler) {
-  fanout_.add(std::move(handler));
 }
 
 void BatchFeed::subscribe_batch(ObservationBatchHandler handler) {
@@ -95,23 +100,18 @@ void BatchFeed::deliver_file(std::vector<std::uint8_t> mrt_bytes, SimTime availa
     // hand the whole window downstream as one batch — the natural unit of
     // the archive pipeline (and the shape the batch-first detection path
     // amortizes best).
-    const auto elems = mrt::read_elems(bytes);
     std::vector<Observation> batch;
-    batch.reserve(elems.size());
-    for (const auto& elem : elems) {
-      Observation& obs = batch.emplace_back();
-      switch (elem.type) {
-        case mrt::ElemType::kAnnounce: obs.type = ObservationType::kAnnouncement; break;
-        case mrt::ElemType::kWithdraw: obs.type = ObservationType::kWithdrawal; break;
-        case mrt::ElemType::kRibEntry: obs.type = ObservationType::kRouteState; break;
-      }
-      obs.source = source_;
-      obs.vantage = elem.peer_asn;
-      obs.prefix = elem.prefix;
-      obs.attrs = elem.attrs;
-      obs.event_time = elem.timestamp;
-      obs.delivered_at = available_at;
+    const mrt::ConvertFileStats stats =
+        converter_.convert_file(bytes, [&batch](std::span<const Observation> part) {
+          batch.insert(batch.end(), part.begin(), part.end());
+        });
+    // The feed encoded this file itself: anything short of a clean decode
+    // is a codec fault, not archive noise.
+    if (!stats.clean() || stats.skipped_records > 0) {
+      throw mrt::DecodeError(params_.name + ": published file did not decode cleanly" +
+                             (stats.error.empty() ? "" : ": " + stats.error));
     }
+    for (Observation& obs : batch) obs.delivered_at = available_at;
     fanout_.emit(batch);
   });
 }

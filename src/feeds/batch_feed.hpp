@@ -6,8 +6,10 @@
 // BatchFeed reproduces that pipeline end to end, *including the MRT
 // encoding*: updates are buffered into an in-memory MRT file per window
 // and the subscriber-visible observations are decoded back from those
-// bytes, so the wire format is exercised on the hot path exactly as a
-// libBGPStream-based consumer would.
+// bytes by the same ObservationConverter the archive importer uses, so
+// the wire format is exercised on the hot path exactly as an archive
+// consumer would. Like every import, a RIB dump's observations carry the
+// dump time as their event_time.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include "feeds/fanout.hpp"
 #include "feeds/observation.hpp"
 #include "mrt/mrt.hpp"
+#include "mrt/observation_convert.hpp"
 #include "sim/network.hpp"
 #include "util/rng.hpp"
 
@@ -45,10 +48,9 @@ class BatchFeed {
   BatchFeed(const BatchFeed&) = delete;
   BatchFeed& operator=(const BatchFeed&) = delete;
 
-  void subscribe(ObservationHandler handler);
-
   /// Batch subscribers get one call per published file — the decoded
-  /// archive window as a single contiguous batch, in file order.
+  /// archive window as a single contiguous batch, in file order. A file
+  /// that does not decode cleanly throws mrt::DecodeError.
   void subscribe_batch(ObservationBatchHandler handler);
 
   const std::string& name() const { return params_.name; }
@@ -66,8 +68,9 @@ class BatchFeed {
 
   sim::Network& network_;
   BatchFeedParams params_;
-  SourceId source_;  ///< params_.name, interned
   Rng rng_;
+  /// Decodes published files; every observation's source is params_.name.
+  mrt::ObservationConverter converter_;
   ObservationFanout fanout_;
   /// MRT bytes accumulated in the current window (kUpdates mode).
   std::vector<std::uint8_t> window_buffer_;

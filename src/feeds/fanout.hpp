@@ -1,10 +1,8 @@
 // Shared subscriber registry for the observation pipeline.
 //
-// Every producer (feeds, MonitorHub) emits whole batches; per-observation
-// subscribers are adapted on the fly so legacy call sites keep working
-// while batch-aware consumers (DetectionService::process_batch, the
-// sharded pipeline) pay one std::function call per batch instead of one
-// per observation.
+// Every producer (feeds, MonitorHub) emits whole batches and every
+// consumer takes them whole: one std::function call per batch per
+// subscriber, never one per observation.
 #pragma once
 
 #include <span>
@@ -17,29 +15,18 @@ namespace artemis::feeds {
 
 class ObservationFanout {
  public:
-  void add(ObservationHandler handler) { per_obs_.push_back(std::move(handler)); }
   void add_batch(ObservationBatchHandler handler) {
     batch_.push_back(std::move(handler));
   }
 
-  /// Delivers one batch: batch subscribers first (one call each), then the
-  /// per-observation subscribers in observation order. The span must stay
-  /// valid for the duration of the call only.
+  /// Delivers one batch to every subscriber, in subscription order. The
+  /// span must stay valid for the duration of the call only.
   void emit(std::span<const Observation> batch) const {
     if (batch.empty()) return;
     for (const auto& handler : batch_) handler(batch);
-    if (per_obs_.empty()) return;
-    for (const auto& obs : batch) {
-      for (const auto& handler : per_obs_) handler(obs);
-    }
   }
 
-  void emit_one(const Observation& obs) const { emit({&obs, 1}); }
-
-  bool empty() const { return per_obs_.empty() && batch_.empty(); }
-
  private:
-  std::vector<ObservationHandler> per_obs_;
   std::vector<ObservationBatchHandler> batch_;
 };
 

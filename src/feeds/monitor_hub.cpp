@@ -65,16 +65,8 @@ void MonitorHub::subscribe_batch(ObservationBatchHandler handler) {
   fanout_.add_batch(std::move(handler));
 }
 
-void MonitorHub::subscribe(ObservationHandler handler) {
-  fanout_.add(std::move(handler));
-}
-
 ObservationBatchHandler MonitorHub::batch_inlet() {
   return [this](std::span<const Observation> batch) { publish_batch(batch); };
-}
-
-ObservationHandler MonitorHub::inlet() {
-  return [this](const Observation& obs) { publish(obs); };
 }
 
 std::map<std::string, std::uint64_t> MonitorHub::per_source_counts() const {

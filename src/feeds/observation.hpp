@@ -56,9 +56,7 @@ struct Observation {
 static_assert(std::is_nothrow_move_constructible_v<Observation>);
 static_assert(std::is_nothrow_move_assignable_v<Observation>);
 
-using ObservationHandler = std::function<void(const Observation&)>;
-
-/// Batch-first consumer: one call per delivered batch. The span is only
+/// The one consumer shape: one call per delivered batch. The span is only
 /// valid for the duration of the call; consumers that keep observations
 /// must copy (or move from their own staging buffer).
 using ObservationBatchHandler = std::function<void(std::span<const Observation>)>;

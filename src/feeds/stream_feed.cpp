@@ -17,10 +17,6 @@ StreamFeed::StreamFeed(sim::Network& network, StreamFeedParams params, Rng rng)
   }
 }
 
-void StreamFeed::subscribe(ObservationHandler handler) {
-  fanout_.add(std::move(handler));
-}
-
 void StreamFeed::subscribe_batch(ObservationBatchHandler handler) {
   fanout_.add_batch(std::move(handler));
 }

@@ -13,8 +13,10 @@
 //     distinguisher are stripped back to the bare prefix)
 //   * TABLE_DUMP_V2 / RIB_IPV4_UNICAST + RIB_IPV6_UNICAST with an inline
 //     peer index
-// The BatchFeed uses these files verbatim; bench_micro measures codec
-// throughput.
+// The encoders write the files BatchFeed publishes and the test fixtures.
+// Every consumer decodes through ObservationConverter
+// (mrt/observation_convert.hpp); the record decoders here are the
+// encoders' inverses, kept for the codec round-trip tests.
 #pragma once
 
 #include <cstdint>

@@ -165,8 +165,8 @@ void ObservationConverter::convert_bgp4mp(ByteReader body, bool as4,
     mp_scratch_.clear();
   }
   // Announcements before withdrawals within a record, v4 (classic fields)
-  // before v6 (MP attributes) within each — the ElemReader /
-  // libBGPStream order the equivalence tests rely on.
+  // before v6 (MP attributes) within each — libBGPStream's elem order,
+  // which tests/mrt_import_test.cpp pins against the encoder inputs.
   while (!msg.done()) {
     const net::Prefix prefix = read_nlri_prefix(msg, net::IpFamily::kIpv4);
     feeds::Observation& obs = slot(feeds::ObservationType::kAnnouncement, peer, event_us);

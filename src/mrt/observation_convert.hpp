@@ -1,9 +1,11 @@
-// Streaming MRT -> Observation conversion: the archive import hot path.
+// Streaming MRT -> Observation conversion: the one MRT decoder.
 //
 // Archived control-plane history (RouteViews / RIPE RIS windows) arrives
 // as MRT files; replaying it through ARTEMIS at line rate needs a
-// decoder that does NOT materialize intermediate vectors per record the
-// way ElemReader does. ObservationConverter walks one MRT byte stream
+// decoder that does NOT materialize intermediate vectors per record.
+// Every MRT consumer — the journal importer, the HTTP ingest supervisor,
+// the simulated archive feeds (BatchFeed), offline trace analysis —
+// decodes through it. ObservationConverter walks one MRT byte stream
 // record by record, decodes BGP4MP updates (2- and 4-byte AS flavors,
 // AS4_PATH merged) and TABLE_DUMP_V2 RIB snapshots (IPv4 + IPv6)
 // directly into recycled slots of an internal ObservationBatch, and
@@ -16,9 +18,10 @@
 // Timestamps are synthesized monotone: MRT header timestamps drive a
 // non-decreasing import clock (archives interleave collector shards, so
 // raw headers can step backwards), `event_time` is the clamped header
-// time and `delivered_at` trails it by a configurable lag. The clock
-// persists across files, so a multi-file window imports as one
-// contiguous, monotone history.
+// time and `delivered_at` trails it by a configurable lag. A RIB entry
+// takes its dump's header time, not its `originated` field: a snapshot
+// observes the table at dump time. The clock persists across files, so
+// a multi-file window imports as one contiguous, monotone history.
 //
 // Truncation contract: a file that ends mid-record (the classic
 // interrupted-download shape) converts every complete record before the

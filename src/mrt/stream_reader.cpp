@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 
 #ifdef ARTEMIS_HAVE_ZLIB
@@ -534,138 +533,6 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
     throw std::runtime_error("compressed stream torn in " + path + ": " + in->error());
   }
   return out;
-}
-
-std::string_view to_string(ElemType t) {
-  switch (t) {
-    case ElemType::kAnnounce: return "A";
-    case ElemType::kWithdraw: return "W";
-    case ElemType::kRibEntry: return "R";
-  }
-  return "?";
-}
-
-std::string BgpElem::to_string() const {
-  std::string out(mrt::to_string(type));
-  out += '|';
-  out += timestamp.to_string();
-  out += "|AS";
-  out += std::to_string(peer_asn);
-  out += '|';
-  out += prefix.to_string();
-  if (type != ElemType::kWithdraw) {
-    out += "|[";
-    out += attrs.as_path.to_string();
-    out += ']';
-  }
-  return out;
-}
-
-void ElemReader::load_record() {
-  while (pending_.empty()) {
-    const auto raw = read_raw_record(reader_);
-    if (!raw) return;  // end of stream
-    if (raw->type == static_cast<std::uint16_t>(RecordType::kBgp4mpEt) ||
-        raw->type == static_cast<std::uint16_t>(RecordType::kBgp4mp)) {
-      const UpdateRecord rec = decode_update_record(*raw);
-      // Emit announcements before withdrawals within a record (mirrors
-      // libBGPStream). pending_ is drained from the back, so push in the
-      // desired order and reverse.
-      for (const auto& p : rec.update.announced) {
-        BgpElem e;
-        e.type = ElemType::kAnnounce;
-        e.timestamp = rec.timestamp;
-        e.peer_asn = rec.peer_asn;
-        e.prefix = p;
-        e.attrs = rec.update.attrs;
-        pending_.push_back(std::move(e));
-      }
-      for (const auto& p : rec.update.withdrawn) {
-        BgpElem e;
-        e.type = ElemType::kWithdraw;
-        e.timestamp = rec.timestamp;
-        e.peer_asn = rec.peer_asn;
-        e.prefix = p;
-        pending_.push_back(std::move(e));
-      }
-      std::reverse(pending_.begin(), pending_.end());
-    } else if (raw->type == static_cast<std::uint16_t>(RecordType::kTableDumpV2)) {
-      ByteReader body(raw->body);
-      if (raw->subtype ==
-          static_cast<std::uint16_t>(TableDumpV2Subtype::kPeerIndexTable)) {
-        body.u32();  // collector BGP ID
-        const std::uint16_t name_len = body.u16();
-        body.bytes(name_len);
-        const std::uint16_t count = body.u16();
-        peer_table_.clear();
-        peer_table_.reserve(count);
-        for (int i = 0; i < count; ++i) {
-          const std::uint8_t peer_type = body.u8();
-          body.u32();  // BGP ID
-          body.bytes((peer_type & 0x01) != 0 ? 16 : 4);  // peer IP
-          peer_table_.push_back((peer_type & 0x02) != 0 ? body.u32() : body.u16());
-        }
-      } else if (raw->subtype ==
-                     static_cast<std::uint16_t>(TableDumpV2Subtype::kRibIpv4Unicast) ||
-                 raw->subtype ==
-                     static_cast<std::uint16_t>(TableDumpV2Subtype::kRibIpv6Unicast)) {
-        const auto family =
-            raw->subtype == static_cast<std::uint16_t>(TableDumpV2Subtype::kRibIpv4Unicast)
-                ? net::IpFamily::kIpv4
-                : net::IpFamily::kIpv6;
-        body.u32();  // sequence
-        const int plen = body.u8();
-        if (plen > net::family_bits(family)) {
-          throw DecodeError("RIB prefix length out of range");
-        }
-        std::uint8_t buf[16] = {};
-        const auto raw_prefix = body.bytes(static_cast<std::size_t>((plen + 7) / 8));
-        std::memcpy(buf, raw_prefix.data(), raw_prefix.size());
-        const net::Prefix prefix(net::IpAddress::from_bytes(family, buf), plen);
-        const std::uint16_t entry_count = body.u16();
-        for (int i = 0; i < entry_count; ++i) {
-          const std::uint16_t peer_index = body.u16();
-          if (peer_index >= peer_table_.size()) {
-            throw DecodeError("RIB entry references unknown peer");
-          }
-          const std::uint32_t originated = body.u32();
-          ByteReader attrs_reader = body.sub(body.u16());
-          BgpElem e;
-          e.type = ElemType::kRibEntry;
-          e.timestamp = SimTime::at_seconds(originated);
-          e.peer_asn = peer_table_[peer_index];
-          e.prefix = prefix;
-          // RIB entries carry the same attribute encoding as UPDATEs.
-          e.attrs = decode_path_attributes(attrs_reader);
-          pending_.push_back(std::move(e));
-        }
-        std::reverse(pending_.begin(), pending_.end());
-      }
-      // Unknown TABLE_DUMP_V2 subtypes are skipped silently.
-    }
-    // Unknown record types are skipped silently (forward compatibility).
-  }
-}
-
-std::optional<BgpElem> ElemReader::next() {
-  if (pending_.empty()) load_record();
-  if (pending_.empty()) return std::nullopt;
-  BgpElem e = std::move(pending_.back());
-  pending_.pop_back();
-  return e;
-}
-
-std::vector<BgpElem> read_elems(std::span<const std::uint8_t> data) {
-  ElemReader reader(data);
-  std::vector<BgpElem> out;
-  while (auto e = reader.next()) out.push_back(std::move(*e));
-  return out;
-}
-
-std::vector<BgpElem> read_elems_from_file(const std::string& path) {
-  // Transparent decompression: archived update windows ship gzip'd, RIB
-  // snapshots bzip2'd; the elem layer never sees the transport.
-  return read_elems(read_file_bytes(path));
 }
 
 }  // namespace artemis::mrt

@@ -1,33 +1,22 @@
-// A BGPStream-style element reader over MRT byte streams.
-//
-// libBGPStream exposes BGP data as a flat sequence of "elems" (announce /
-// withdraw / RIB entries), regardless of the underlying record framing.
-// This reader provides the same abstraction over this module's MRT
-// encoding: BGP4MP updates fan out into one elem per announced/withdrawn
-// prefix, TABLE_DUMP_V2 snapshots fan out into one RIB elem per entry
-// (peer index table handled internally).
-#pragma once
-
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <optional>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "bgp/route.hpp"
-#include "mrt/mrt.hpp"
-
-namespace artemis::mrt {
-
-// ------------------------------------------------------------ transport
+// MRT transport: compressed archive bytes in, raw MRT bytes out.
 //
 // Archived RouteViews/RIS windows ship gzip'd (updates) or bzip2'd (RIB
 // snapshots). This layer makes compression a transport detail: open a
 // path, get decompressed MRT bytes — streaming, no temp files, O(chunk)
 // resident memory. Compression is sniffed from magic bytes, never file
-// extensions (mirrors on object stores rename freely).
+// extensions (mirrors on object stores rename freely). Decoding the
+// records themselves is ObservationConverter's job
+// (mrt/observation_convert.hpp).
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+namespace artemis::mrt {
 
 enum class Compression : std::uint8_t { kNone, kGzip, kBzip2 };
 
@@ -119,45 +108,5 @@ std::vector<std::uint8_t> gzip_compress(std::span<const std::uint8_t> in,
 /// file. (The streaming importer keeps its recover-the-prefix behavior
 /// by driving InputStream directly and checking truncated().)
 std::vector<std::uint8_t> read_file_bytes(const std::string& path);
-
-enum class ElemType : std::uint8_t { kAnnounce, kWithdraw, kRibEntry };
-
-std::string_view to_string(ElemType t);
-
-/// One flattened BGP observation (the unit the detection service consumes).
-struct BgpElem {
-  ElemType type = ElemType::kAnnounce;
-  SimTime timestamp;
-  bgp::Asn peer_asn = bgp::kNoAsn;  ///< vantage point that observed it
-  net::Prefix prefix;
-  /// Valid for kAnnounce / kRibEntry.
-  bgp::PathAttributes attrs;
-
-  bgp::Asn origin_as() const { return attrs.as_path.origin_as(); }
-  std::string to_string() const;
-};
-
-/// Iterates elems over an in-memory MRT stream.
-class ElemReader {
- public:
-  explicit ElemReader(std::span<const std::uint8_t> data) : reader_(data) {}
-
-  /// Next elem, or nullopt at end of stream. Throws DecodeError on
-  /// malformed input.
-  std::optional<BgpElem> next();
-
- private:
-  void load_record();
-
-  ByteReader reader_;
-  std::vector<BgpElem> pending_;  // elems of the current record, reversed
-  std::vector<bgp::Asn> peer_table_;
-};
-
-/// Reads every elem of an MRT file. Throws DecodeError / std::runtime_error.
-std::vector<BgpElem> read_elems_from_file(const std::string& path);
-
-/// Convenience: decode all elems from a buffer.
-std::vector<BgpElem> read_elems(std::span<const std::uint8_t> data);
 
 }  // namespace artemis::mrt

@@ -50,7 +50,7 @@ struct AppFixture {
     feed_params.vantages = {1, 2, 5};
     feed_params.median_latency = SimDuration::seconds(2);
     feed = std::make_unique<feeds::StreamFeed>(*network, feed_params, Rng(2));
-    feed->subscribe(app->hub().inlet());
+    feed->subscribe_batch(app->hub().batch_inlet());
   }
 
   void run_hijack_scenario() {

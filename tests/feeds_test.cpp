@@ -10,6 +10,18 @@
 namespace artemis::feeds {
 namespace {
 
+/// Batch subscriber that appends every delivered observation to `out`.
+ObservationBatchHandler append_to(std::vector<Observation>& out) {
+  return [&out](std::span<const Observation> batch) {
+    out.insert(out.end(), batch.begin(), batch.end());
+  };
+}
+
+/// Batch subscriber that counts delivered observations into `count`.
+ObservationBatchHandler count_into(std::size_t& count) {
+  return [&count](std::span<const Observation> batch) { count += batch.size(); };
+}
+
 // Shared fixture: a 4-AS line (1 tier1 <- 2 <- 3 victim) plus peer 4 of 1.
 struct FeedsFixture {
   topo::AsGraph graph;
@@ -39,7 +51,7 @@ TEST(StreamFeedTest, DeliversObservationsWithLatency) {
   StreamFeed feed(*f.network, params, Rng(7));
 
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  feed.subscribe_batch(append_to(received));
 
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->run_to_convergence();
@@ -61,7 +73,7 @@ TEST(StreamFeedTest, VantagePathIncludesVantageAsn) {
   params.vantages = {1};
   StreamFeed feed(*f.network, params, Rng(8));
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  feed.subscribe_batch(append_to(received));
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->run_to_convergence();
   ASSERT_FALSE(received.empty());
@@ -75,7 +87,7 @@ TEST(StreamFeedTest, WithdrawalsDelivered) {
   params.vantages = {1};
   StreamFeed feed(*f.network, params, Rng(9));
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  feed.subscribe_batch(append_to(received));
   const auto prefix = net::Prefix::must_parse("10.0.0.0/23");
   f.network->speaker(3).originate(prefix);
   f.network->run_to_convergence();
@@ -96,14 +108,14 @@ TEST(StreamFeedTest, MultipleFeedsOnSameVantageCoexist) {
   b.vantages = {1};
   StreamFeed feed_a(*f.network, a, Rng(1));
   StreamFeed feed_b(*f.network, b, Rng(2));
-  int from_a = 0;
-  int from_b = 0;
-  feed_a.subscribe([&](const Observation&) { ++from_a; });
-  feed_b.subscribe([&](const Observation&) { ++from_b; });
+  std::size_t from_a = 0;
+  std::size_t from_b = 0;
+  feed_a.subscribe_batch(count_into(from_a));
+  feed_b.subscribe_batch(count_into(from_b));
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->run_to_convergence();
-  EXPECT_GT(from_a, 0);
-  EXPECT_GT(from_b, 0);
+  EXPECT_GT(from_a, 0u);
+  EXPECT_GT(from_b, 0u);
 }
 
 TEST(BatchFeedTest, UpdatesArriveOnlyAtWindowBoundaries) {
@@ -117,7 +129,7 @@ TEST(BatchFeedTest, UpdatesArriveOnlyAtWindowBoundaries) {
   BatchFeed feed(*f.network, params, Rng(3));
 
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  feed.subscribe_batch(append_to(received));
 
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   auto& sim = f.network->simulator();
@@ -142,10 +154,10 @@ TEST(BatchFeedTest, EmptyWindowsPublishNothing) {
   params.vantages = {1};
   params.interval = SimDuration::minutes(15);
   BatchFeed feed(*f.network, params, Rng(4));
-  int count = 0;
-  feed.subscribe([&](const Observation&) { ++count; });
+  std::size_t count = 0;
+  feed.subscribe_batch(count_into(count));
   f.network->simulator().run_until(SimTime::at_seconds(3600));
-  EXPECT_EQ(count, 0);
+  EXPECT_EQ(count, 0u);
   EXPECT_EQ(feed.files_published(), 0u);
 }
 
@@ -160,7 +172,7 @@ TEST(BatchFeedTest, RibDumpSnapshotsFullTable) {
   BatchFeed feed(*f.network, params, Rng(5));
 
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  feed.subscribe_batch(append_to(received));
 
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->simulator().run_until(SimTime::at_seconds(2 * 3600 + 301));
@@ -170,6 +182,8 @@ TEST(BatchFeedTest, RibDumpSnapshotsFullTable) {
     EXPECT_EQ(obs.type, ObservationType::kRouteState);
     EXPECT_EQ(obs.origin_as(), 3u);
     EXPECT_EQ(obs.delivered_at, SimTime::at_seconds(2 * 3600 + 300));
+    // A snapshot observes the table at dump time, not at route install.
+    EXPECT_EQ(obs.event_time, SimTime::at_seconds(2 * 3600));
   }
   // Vantage 1's exported path must include itself.
   bool found_v1 = false;
@@ -254,7 +268,7 @@ TEST(PeriscopeTest, PollsAllGlassesEachInterval) {
   client.monitor_prefix(net::Prefix::must_parse("10.0.0.0/23"));
 
   std::vector<Observation> received;
-  client.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  client.subscribe_batch(append_to(received));
 
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->simulator().run_until(SimTime::at_seconds(305));
@@ -296,7 +310,7 @@ TEST(BatchFeedTest, MultipleWindowsDeliverInOrder) {
   params.publish_delay = SimDuration::seconds(30);
   BatchFeed feed(*f.network, params, Rng(11));
   std::vector<Observation> received;
-  feed.subscribe([&](const Observation& obs) { received.push_back(obs); });
+  feed.subscribe_batch(append_to(received));
 
   auto& sim = f.network->simulator();
   const auto prefix = net::Prefix::must_parse("10.0.0.0/23");
@@ -329,8 +343,8 @@ TEST(StreamFeedTest, DeterministicGivenSeed) {
     params.vantages = {1, 2};
     StreamFeed feed(*f.network, params, Rng(seed));
     std::vector<double> deliveries;
-    feed.subscribe([&](const Observation& obs) {
-      deliveries.push_back(obs.delivered_at.as_seconds());
+    feed.subscribe_batch([&](std::span<const Observation> batch) {
+      for (const auto& obs : batch) deliveries.push_back(obs.delivered_at.as_seconds());
     });
     f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
     f.network->run_to_convergence();
@@ -348,7 +362,6 @@ TEST(StreamFeedTest, BatchSubscribersSeeWholeMessages) {
 
   std::size_t batch_count = 0;
   std::size_t batched_total = 0;
-  std::vector<Observation> per_obs;
   feed.subscribe_batch([&](std::span<const Observation> batch) {
     ++batch_count;
     batched_total += batch.size();
@@ -359,14 +372,11 @@ TEST(StreamFeedTest, BatchSubscribersSeeWholeMessages) {
       EXPECT_EQ(obs.vantage, batch.front().vantage);
     }
   });
-  feed.subscribe([&](const Observation& obs) { per_obs.push_back(obs); });
 
   f.network->speaker(3).originate(net::Prefix::must_parse("10.0.0.0/23"));
   f.network->run_to_convergence();
 
   EXPECT_GT(batch_count, 0u);
-  // Per-observation subscribers see exactly the flattened batch stream.
-  EXPECT_EQ(per_obs.size(), batched_total);
   EXPECT_EQ(feed.delivered_count(), batched_total);
 }
 
@@ -393,17 +403,17 @@ TEST(BatchFeedTest, FilesArriveAsSingleBatches) {
 
 TEST(MonitorHubTest, FanOutAndCounters) {
   MonitorHub hub;
-  int a = 0;
-  int b = 0;
-  hub.subscribe([&](const Observation&) { ++a; });
-  hub.subscribe([&](const Observation&) { ++b; });
+  std::size_t a = 0;
+  std::size_t b = 0;
+  hub.subscribe_batch(count_into(a));
+  hub.subscribe_batch(count_into(b));
   Observation obs;
   obs.source = feeds::intern_source("ris-live");
-  hub.publish(obs);
+  hub.publish_batch({&obs, 1});
   obs.source = feeds::intern_source("bgpmon");
-  hub.inlet()(obs);
-  EXPECT_EQ(a, 2);
-  EXPECT_EQ(b, 2);
+  hub.batch_inlet()({&obs, 1});
+  EXPECT_EQ(a, 2u);
+  EXPECT_EQ(b, 2u);
   EXPECT_EQ(hub.total_observations(), 2u);
   EXPECT_EQ(hub.per_source_counts().at("ris-live"), 1u);
   EXPECT_EQ(hub.per_source_counts().at("bgpmon"), 1u);

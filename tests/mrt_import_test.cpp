@@ -1,10 +1,11 @@
 // The MRT archive importer: streaming converter + mrt -> journal import.
 //
-// The headline property (ISSUE 4 acceptance): importing a fixture MRT
-// window into a journal and replaying it — at any shard count — yields
-// bit-identical merged_alerts() to ingesting the same window directly,
-// and to the legacy ElemReader-based adapter path BatchFeed uses. Plus
-// the robustness contracts: a file truncated mid-record imports every
+// The converter is checked against ground truth: the observations the
+// fixture's encoder inputs imply, in libBGPStream elem order. The
+// headline property: importing the fixture window into a journal and
+// replaying it — at any shard count — yields bit-identical
+// merged_alerts() to ingesting the same window directly. Plus the
+// robustness contracts: a file truncated mid-record imports every
 // complete record and leaves a clean journal (never a torn segment),
 // AS4_PATH/AS_PATH merge restores 4-byte ASNs from pre-AS4 records, and
 // IPv6 TABLE_DUMP_V2 RIB entries flow through end to end.
@@ -83,60 +84,139 @@ void append(std::vector<std::uint8_t>& out, const std::vector<std::uint8_t>& byt
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-/// The fixture window: per-record MRT byte blobs (so truncation tests can
-/// cut at known boundaries) covering every record flavor the importer
-/// handles — 4-byte updates (announce, withdraw, mixed), a pre-AS4
-/// 2-byte record needing the AS4_PATH merge, a v4 RIB snapshot, a v6
-/// RIB snapshot, and the dual-stack update shapes (MP_REACH/MP_UNREACH
-/// with both next-hop lengths, a v6-withdraw-only update, v6 NLRI in a
-/// pre-AS4 record). Timestamps increase monotonically.
-std::vector<std::vector<std::uint8_t>> fixture_records() {
-  std::vector<std::vector<std::uint8_t>> records;
+/// One fixture record as its encoder inputs: a BGP4MP update (pre-AS4
+/// when `as2`) or, when `rib` is non-empty, a TABLE_DUMP_V2 dump (peer
+/// index + one RIB record per entry) taken at `dump_time`. The oracle
+/// test derives the expected observations from these inputs, never from
+/// a decoder.
+struct FixtureRecord {
+  UpdateRecord update;
+  bool as2 = false;
+  UpdateEncodeOptions options;
+  std::vector<RibEntryRecord> rib;
+  SimTime dump_time;
+
+  std::vector<std::uint8_t> encode() const {
+    if (!rib.empty()) return encode_table_dump(rib, dump_time);
+    return as2 ? encode_update_record_as2(update, options)
+               : encode_update_record(update, options);
+  }
+};
+
+FixtureRecord as4_record(UpdateRecord rec, UpdateEncodeOptions options = {}) {
+  return {std::move(rec), false, options, {}, SimTime{}};
+}
+
+FixtureRecord as2_record(UpdateRecord rec) {
+  return {std::move(rec), true, UpdateEncodeOptions{}, {}, SimTime{}};
+}
+
+FixtureRecord dump_record(std::vector<RibEntryRecord> entries, double at_seconds) {
+  return {UpdateRecord{}, false, UpdateEncodeOptions{}, std::move(entries),
+          SimTime::at_seconds(at_seconds)};
+}
+
+/// The fixture window's records, covering every record flavor the
+/// importer handles — 4-byte updates (announce, withdraw, mixed), a
+/// pre-AS4 2-byte record needing the AS4_PATH merge, a v4 RIB snapshot,
+/// a v6 RIB snapshot, and the dual-stack update shapes (MP_REACH/
+/// MP_UNREACH with both next-hop lengths, a v6-withdraw-only update, v6
+/// NLRI in a pre-AS4 record). Header timestamps increase monotonically.
+std::vector<FixtureRecord> fixture_inputs() {
+  std::vector<FixtureRecord> records;
   // Hijack of owned /23 (offender 666) seen by peer 9.
-  records.push_back(
-      encode_update_record(make_update(9, 100, {"10.0.0.0/23"}, {9, 3356, 666})));
+  records.push_back(as4_record(make_update(9, 100, {"10.0.0.0/23"}, {9, 3356, 666})));
   // Legitimate announcement of the same prefix.
-  records.push_back(
-      encode_update_record(make_update(9, 101, {"10.0.0.0/23"}, {9, 3356, 65001})));
+  records.push_back(as4_record(make_update(9, 101, {"10.0.0.0/23"}, {9, 3356, 65001})));
   // Sub-prefix hijack seen by peer 8, plus a withdrawal in one record.
-  records.push_back(encode_update_record(
+  records.push_back(as4_record(
       make_update(8, 102, {"10.0.1.0/24"}, {8, 1299, 666}, {"203.0.113.0/24"})));
   // Pre-AS4 speaker: wide ASN 70000 squashed to AS_TRANS on the wire,
   // restored by the AS4_PATH merge; hijacks owned #2.
-  records.push_back(
-      encode_update_record_as2(make_update(7, 104, {"192.0.2.0/24"}, {7, 70000, 666})));
-  // v4 RIB snapshot at t=105 (originated == snapshot time, so the legacy
-  // ElemReader adapter and the importer agree on event times).
-  records.push_back(encode_table_dump(
-      {make_rib_entry(9, 105, "10.0.0.0/23", {9, 3356, 666}),
-       make_rib_entry(8, 105, "198.51.100.0/24", {8, 1299, 65010})},
-      SimTime::at_seconds(105)));
+  records.push_back(as2_record(make_update(7, 104, {"192.0.2.0/24"}, {7, 70000, 666})));
+  // v4 RIB snapshot at t=105. The second entry was installed earlier
+  // (originated t=90): its observation still carries the dump time.
+  records.push_back(dump_record({make_rib_entry(9, 105, "10.0.0.0/23", {9, 3356, 666}),
+                                 make_rib_entry(8, 90, "198.51.100.0/24", {8, 1299, 65010})},
+                                105));
   // v6 RIB snapshot: hijack of the owned v6 /32 (offender 667).
-  records.push_back(encode_table_dump(
+  records.push_back(dump_record(
       {make_rib_entry(9, 106, "2001:db8::/32", {9, 3356, 667}),
        make_rib_entry(9, 106, "2001:db8:ffff::/48", {9, 3356, 667})},
-      SimTime::at_seconds(106)));
+      106));
   // MP_REACH v6 sub-prefix hijack in an update stream (not a RIB dump).
-  records.push_back(encode_update_record(
-      make_update(9, 107, {"2001:db8:dead::/48"}, {9, 3356, 667})));
+  records.push_back(as4_record(make_update(9, 107, {"2001:db8:dead::/48"}, {9, 3356, 667})));
   // Dual-stack update with the 32-byte (global + link-local) next hop:
-  // v4 sub-prefix hijack and v6 exact hijack in one record, plus an
-  // MP_UNREACH withdrawal riding along.
+  // v4 sub-prefix hijack and v6 exact hijack in one record, plus a v4
+  // and an MP_UNREACH v6 withdrawal riding along — all four NLRI kinds
+  // in one record.
   {
     UpdateEncodeOptions nh32;
     nh32.mp_next_hop_len = 32;
-    records.push_back(encode_update_record(
+    records.push_back(as4_record(
         make_update(8, 108, {"10.0.1.0/24", "2001:db8::/32"}, {8, 1299, 667},
-                    {"2001:db8:aaaa::/48"}),
+                    {"2001:db8:aaaa::/48", "198.51.100.0/24"}),
         nh32));
   }
   // v6-withdraw-only update: a lone MP_UNREACH attribute, nothing else.
-  records.push_back(
-      encode_update_record(make_update(9, 109, {}, {}, {"2001:db8:dead::/48"})));
+  records.push_back(as4_record(make_update(9, 109, {}, {}, {"2001:db8:dead::/48"})));
   // v6 NLRI announced by a pre-AS4 speaker (AS4_PATH merge + MP_REACH).
-  records.push_back(encode_update_record_as2(
-      make_update(7, 110, {"2001:db8:ffff::/48"}, {7, 70000, 667})));
+  records.push_back(
+      as2_record(make_update(7, 110, {"2001:db8:ffff::/48"}, {7, 70000, 667})));
   return records;
+}
+
+/// The fixture window as per-record MRT byte blobs (so truncation tests
+/// can cut at known boundaries).
+std::vector<std::vector<std::uint8_t>> fixture_records() {
+  std::vector<std::vector<std::uint8_t>> records;
+  for (const auto& rec : fixture_inputs()) records.push_back(rec.encode());
+  return records;
+}
+
+/// What a default converter (per-peer sources, zero lag) must emit for
+/// `records`, from the encoder inputs alone. Per update record: v4
+/// NLRI, MP_REACH v6, v4 withdrawn, MP_UNREACH v6; withdrawals carry no
+/// attributes. RIB entries come in entry order at the dump's header
+/// time. Header times are monotone, so the import clock never clamps.
+std::vector<feeds::Observation> expected_observations(
+    const std::vector<FixtureRecord>& records) {
+  std::vector<feeds::Observation> out;
+  const auto add = [&out](feeds::ObservationType type, bgp::Asn peer,
+                          const net::Prefix& prefix, const bgp::PathAttributes& attrs,
+                          SimTime at) {
+    feeds::Observation& obs = out.emplace_back();
+    obs.type = type;
+    obs.source = feeds::intern_source("mrt:AS" + std::to_string(peer));
+    obs.vantage = peer;
+    obs.prefix = prefix;
+    obs.attrs = attrs;
+    obs.event_time = at;
+    obs.delivered_at = at;
+  };
+  for (const auto& rec : records) {
+    for (const auto& entry : rec.rib) {
+      add(feeds::ObservationType::kRouteState, entry.peer_asn, entry.route.prefix,
+          entry.route.attrs, rec.dump_time);
+    }
+    if (!rec.rib.empty()) continue;
+    const UpdateRecord& u = rec.update;
+    for (const bool v4 : {true, false}) {
+      for (const auto& prefix : u.update.announced) {
+        if (prefix.is_v4() != v4) continue;
+        add(feeds::ObservationType::kAnnouncement, u.peer_asn, prefix, u.update.attrs,
+            u.timestamp);
+      }
+    }
+    for (const bool v4 : {true, false}) {
+      for (const auto& prefix : u.update.withdrawn) {
+        if (prefix.is_v4() != v4) continue;
+        add(feeds::ObservationType::kWithdrawal, u.peer_asn, prefix, bgp::PathAttributes{},
+            u.timestamp);
+      }
+    }
+  }
+  return out;
 }
 
 std::vector<std::uint8_t> fixture_window() {
@@ -155,28 +235,6 @@ std::vector<feeds::Observation> convert_to_vector(
         out.insert(out.end(), batch.begin(), batch.end());
       });
   if (stats_out != nullptr) *stats_out = stats;
-  return out;
-}
-
-/// The legacy BatchFeed-style adapter: ElemReader elems -> Observations,
-/// with the importer's source naming so outputs are comparable.
-std::vector<feeds::Observation> elem_reader_adapter(std::span<const std::uint8_t> data) {
-  std::vector<feeds::Observation> out;
-  for (const auto& elem : read_elems(data)) {
-    feeds::Observation obs;
-    switch (elem.type) {
-      case ElemType::kAnnounce: obs.type = feeds::ObservationType::kAnnouncement; break;
-      case ElemType::kWithdraw: obs.type = feeds::ObservationType::kWithdrawal; break;
-      case ElemType::kRibEntry: obs.type = feeds::ObservationType::kRouteState; break;
-    }
-    obs.source = feeds::intern_source("mrt:AS" + std::to_string(elem.peer_asn));
-    obs.vantage = elem.peer_asn;
-    obs.prefix = elem.prefix;
-    obs.attrs = elem.attrs;
-    obs.event_time = elem.timestamp;
-    obs.delivered_at = elem.timestamp;
-    out.push_back(std::move(obs));
-  }
   return out;
 }
 
@@ -228,7 +286,7 @@ std::string write_file(const std::string& dir, const std::string& name,
 
 // ------------------------------------------------------ converter core
 
-TEST(MrtConvertTest, ConverterMatchesElemReaderAdapter) {
+TEST(MrtConvertTest, ConverterMatchesEncoderInputs) {
   const auto window = fixture_window();
   ObservationConverter converter;
   ConvertFileStats stats;
@@ -240,11 +298,12 @@ TEST(MrtConvertTest, ConverterMatchesElemReaderAdapter) {
   EXPECT_EQ(stats.bytes_consumed, window.size());
   EXPECT_EQ(stats.observations, converted.size());
 
-  const auto legacy = elem_reader_adapter(window);
-  ASSERT_EQ(converted.size(), legacy.size());
+  const auto expected = expected_observations(fixture_inputs());
+  EXPECT_EQ(expected.size(), 16u);
+  ASSERT_EQ(converted.size(), expected.size());
   for (std::size_t i = 0; i < converted.size(); ++i) {
     SCOPED_TRACE("observation " + std::to_string(i));
-    expect_same_observation(converted[i], legacy[i]);
+    expect_same_observation(converted[i], expected[i]);
   }
 }
 
@@ -468,25 +527,14 @@ TEST(MrtImportTest, ImportReplayRoundTripBitIdentical) {
   const auto direct_alerts = direct.merged_alerts();
   ASSERT_FALSE(direct_alerts.empty());
 
-  // Path B — legacy adapter ingestion (the BatchFeed shape): ElemReader
-  // elems adapted per-observation into the same pipeline.
-  const core::Config config_b = make_config();
-  pipeline::ShardedDetector legacy(config_b);
-  feeds::MonitorHub legacy_hub;
-  legacy.attach(legacy_hub);
-  for (const auto& obs : elem_reader_adapter(fixture_window())) {
-    legacy_hub.publish(obs);
-  }
-  expect_same_alerts(legacy.merged_alerts(), direct_alerts);
-
-  // Path C — journal replay at shard counts 1 and 4: bit-identical both
-  // ways.
+  // Path B — journal replay at shard counts 1 and 4: bit-identical to
+  // direct ingestion.
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    const core::Config config_c = make_config();
+    const core::Config config_b = make_config();
     pipeline::ShardedDetectorOptions options;
     options.shards = shards;
-    pipeline::ShardedDetector replayed(config_c, options);
+    pipeline::ShardedDetector replayed(config_b, options);
     feeds::MonitorHub hub;
     replayed.attach(hub);
     journal::JournalReader reader(journal_dir);
@@ -764,7 +812,6 @@ TEST(MrtImportTest, ReadFileBytesThrowsOnTornCompressedStream) {
   const std::string src_dir = fresh_dir("torn_rfb_src");
   const auto path = write_file(src_dir, "w.mrt.gz", gz);
   EXPECT_THROW(read_file_bytes(path), std::runtime_error);
-  EXPECT_THROW(read_elems_from_file(path), std::runtime_error);
 }
 
 TEST(MrtImportTest, ConcatenatedGzipMembersImportAsOneStream) {

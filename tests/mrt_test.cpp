@@ -5,6 +5,7 @@
 
 #include "mrt/bytes.hpp"
 #include "mrt/mrt.hpp"
+#include "mrt/observation_convert.hpp"
 #include "mrt/stream_reader.hpp"
 
 namespace artemis::mrt {
@@ -212,9 +213,25 @@ TEST(RawRecordTest, TruncatedHeaderThrows) {
   EXPECT_THROW(read_raw_record(r), DecodeError);
 }
 
-// ------------------------------------------------------------ ElemReader
+// ------------------------------------------------ decode via the converter
 
-TEST(ElemReaderTest, UpdatesFanOutToElems) {
+using feeds::Observation;
+using feeds::ObservationType;
+
+/// Every observation ObservationConverter decodes from `data`.
+std::vector<Observation> convert(std::span<const std::uint8_t> data,
+                                 ConvertFileStats* stats_out = nullptr) {
+  ObservationConverter converter;
+  std::vector<Observation> out;
+  const auto stats =
+      converter.convert_file(data, [&out](std::span<const Observation> batch) {
+        out.insert(out.end(), batch.begin(), batch.end());
+      });
+  if (stats_out != nullptr) *stats_out = stats;
+  return out;
+}
+
+TEST(MrtDecodeTest, UpdatesFanOutToElems) {
   ByteWriter stream;
   UpdateRecord rec;
   rec.peer_asn = 64501;
@@ -222,18 +239,18 @@ TEST(ElemReaderTest, UpdatesFanOutToElems) {
   rec.update = sample_update();
   stream.bytes(encode_update_record(rec));
 
-  const auto elems = read_elems(stream.data());
+  const auto elems = convert(stream.data());
   ASSERT_EQ(elems.size(), 3u);  // 2 announces + 1 withdraw
-  EXPECT_EQ(elems[0].type, ElemType::kAnnounce);
-  EXPECT_EQ(elems[1].type, ElemType::kAnnounce);
-  EXPECT_EQ(elems[2].type, ElemType::kWithdraw);
-  EXPECT_EQ(elems[0].peer_asn, 64501u);
+  EXPECT_EQ(elems[0].type, ObservationType::kAnnouncement);
+  EXPECT_EQ(elems[1].type, ObservationType::kAnnouncement);
+  EXPECT_EQ(elems[2].type, ObservationType::kWithdrawal);
+  EXPECT_EQ(elems[0].vantage, 64501u);
   EXPECT_EQ(elems[0].origin_as(), 65030u);
-  EXPECT_EQ(elems[0].timestamp, SimTime::at_seconds(100));
+  EXPECT_EQ(elems[0].event_time, SimTime::at_seconds(100));
   EXPECT_EQ(elems[2].prefix.to_string(), "192.0.2.0/24");
 }
 
-TEST(ElemReaderTest, TableDumpFansOutRibEntries) {
+TEST(MrtDecodeTest, TableDumpFansOutRibEntries) {
   std::vector<RibEntryRecord> entries;
   for (int i = 0; i < 3; ++i) {
     RibEntryRecord entry;
@@ -244,17 +261,18 @@ TEST(ElemReaderTest, TableDumpFansOutRibEntries) {
     entries.push_back(entry);
   }
   const auto bytes = encode_table_dump(entries, SimTime::at_seconds(7200));
-  const auto elems = read_elems(bytes);
+  const auto elems = convert(bytes);
   ASSERT_EQ(elems.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(elems[i].type, ElemType::kRibEntry);
-    EXPECT_EQ(elems[i].peer_asn, 100 + static_cast<bgp::Asn>(i % 2));
+    EXPECT_EQ(elems[i].type, ObservationType::kRouteState);
+    EXPECT_EQ(elems[i].vantage, 100 + static_cast<bgp::Asn>(i % 2));
     EXPECT_EQ(elems[i].attrs.as_path.to_string(), "100 200");
-    EXPECT_EQ(elems[i].timestamp, SimTime::at_seconds(50));
+    // The dump time, not the entry's `originated` (route install) time.
+    EXPECT_EQ(elems[i].event_time, SimTime::at_seconds(7200));
   }
 }
 
-TEST(ElemReaderTest, MixedStream) {
+TEST(MrtDecodeTest, MixedStream) {
   ByteWriter stream;
   RibEntryRecord entry;
   entry.peer_asn = 7;
@@ -266,13 +284,13 @@ TEST(ElemReaderTest, MixedStream) {
   rec.update = sample_update();
   stream.bytes(encode_update_record(rec));
 
-  const auto elems = read_elems(stream.data());
+  const auto elems = convert(stream.data());
   ASSERT_EQ(elems.size(), 4u);
-  EXPECT_EQ(elems[0].type, ElemType::kRibEntry);
-  EXPECT_EQ(elems[1].type, ElemType::kAnnounce);
+  EXPECT_EQ(elems[0].type, ObservationType::kRouteState);
+  EXPECT_EQ(elems[1].type, ObservationType::kAnnouncement);
 }
 
-TEST(ElemReaderTest, UnknownRecordTypesSkipped) {
+TEST(MrtDecodeTest, UnknownRecordTypesSkipped) {
   ByteWriter stream;
   const std::uint8_t body[4] = {1, 2, 3, 4};
   write_raw_record(stream, static_cast<RecordType>(99), 0, SimTime::zero(), body);
@@ -280,11 +298,13 @@ TEST(ElemReaderTest, UnknownRecordTypesSkipped) {
   rec.peer_asn = 9;
   rec.update = sample_update();
   stream.bytes(encode_update_record(rec));
-  const auto elems = read_elems(stream.data());
+  ConvertFileStats stats;
+  const auto elems = convert(stream.data(), &stats);
+  EXPECT_TRUE(stats.clean());
   EXPECT_EQ(elems.size(), 3u);  // junk record ignored, update decoded
 }
 
-TEST(ElemReaderTest, RibEntryWithUnknownPeerThrows) {
+TEST(MrtDecodeTest, RibEntryWithUnknownPeerIsAnError) {
   // A RIB record without a preceding PEER_INDEX_TABLE must fail loudly.
   std::vector<RibEntryRecord> entries;
   RibEntryRecord entry;
@@ -303,10 +323,15 @@ TEST(ElemReaderTest, RibEntryWithUnknownPeerThrows) {
   const std::size_t cut = 12 + len;
   std::vector<std::uint8_t> without_index(bytes.begin() + static_cast<long>(cut),
                                           bytes.end());
-  EXPECT_THROW(read_elems(without_index), DecodeError);
+  ConvertFileStats stats;
+  const auto elems = convert(without_index, &stats);
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_EQ(stats.error, "RIB entry references unknown peer");
+  EXPECT_EQ(stats.records, 0u);
+  EXPECT_TRUE(elems.empty());
 }
 
-TEST(ElemReaderTest, FileRoundTrip) {
+TEST(MrtDecodeTest, FileRoundTrip) {
   const std::string path = testing::TempDir() + "/artemis_mrt_test.mrt";
   ByteWriter stream;
   UpdateRecord rec;
@@ -318,10 +343,10 @@ TEST(ElemReaderTest, FileRoundTrip) {
     out.write(reinterpret_cast<const char*>(stream.data().data()),
               static_cast<std::streamsize>(stream.data().size()));
   }
-  const auto elems = read_elems_from_file(path);
+  const auto elems = convert(read_file_bytes(path));
   EXPECT_EQ(elems.size(), 3u);
   std::remove(path.c_str());
-  EXPECT_THROW(read_elems_from_file(path), std::runtime_error);
+  EXPECT_THROW(read_file_bytes(path), std::runtime_error);
 }
 
 // ------------------------------------------- pre-AS4 records & AS4_PATH
@@ -436,7 +461,7 @@ TEST(PathAttributesTest, OverlongAs4PathIsIgnored) {
   EXPECT_EQ(attrs.as_path.to_string(), "64496 65030");
 }
 
-TEST(ElemReaderTest, As2UpdatesFanOutWithMergedPaths) {
+TEST(MrtDecodeTest, As2UpdatesFanOutWithMergedPaths) {
   ByteWriter stream;
   UpdateRecord rec;
   rec.peer_asn = 64501;
@@ -444,15 +469,15 @@ TEST(ElemReaderTest, As2UpdatesFanOutWithMergedPaths) {
   rec.update.announced.push_back(net::Prefix::must_parse("10.0.0.0/24"));
   rec.update.attrs.as_path = bgp::AsPath({64501, 200000});
   stream.bytes(encode_update_record_as2(rec));
-  const auto elems = read_elems(stream.data());
+  const auto elems = convert(stream.data());
   ASSERT_EQ(elems.size(), 1u);
-  EXPECT_EQ(elems[0].peer_asn, 64501u);
+  EXPECT_EQ(elems[0].vantage, 64501u);
   EXPECT_EQ(elems[0].origin_as(), 200000u);
 }
 
 // ------------------------------------------------------- IPv6 RIB dumps
 
-TEST(ElemReaderTest, Ipv6RibEntriesRoundTrip) {
+TEST(MrtDecodeTest, Ipv6RibEntriesRoundTrip) {
   std::vector<RibEntryRecord> entries;
   RibEntryRecord v6;
   v6.peer_asn = 100;
@@ -468,7 +493,7 @@ TEST(ElemReaderTest, Ipv6RibEntriesRoundTrip) {
   entries.push_back(v4);
 
   const auto bytes = encode_table_dump(entries, SimTime::at_seconds(7200));
-  const auto elems = read_elems(bytes);
+  const auto elems = convert(bytes);
   ASSERT_EQ(elems.size(), 2u);
   EXPECT_EQ(elems[0].prefix, net::Prefix::must_parse("2001:db8::/32"));
   EXPECT_EQ(elems[0].origin_as(), 200u);
@@ -778,7 +803,7 @@ TEST(MpNlriCodecTest, AsSetSegmentThrowsUnsupportedRecord) {
   EXPECT_THROW(decode_path_attributes(r), UnsupportedRecord);
 }
 
-TEST(ElemReaderTest, DualStackUpdateFansOutMpElems) {
+TEST(MrtDecodeTest, DualStackUpdateFansOutMpElems) {
   UpdateRecord rec;
   rec.peer_asn = 9;
   rec.local_asn = 64512;
@@ -790,26 +815,14 @@ TEST(ElemReaderTest, DualStackUpdateFansOutMpElems) {
                           net::Prefix::must_parse("2001:db8::/32")};
   rec.update.withdrawn = {net::Prefix::must_parse("2001:db8:dead::/48")};
   const auto bytes = encode_update_record(rec);
-  const auto elems = read_elems(bytes);
+  const auto elems = convert(bytes);
   ASSERT_EQ(elems.size(), 3u);
-  EXPECT_EQ(elems[0].type, ElemType::kAnnounce);
+  EXPECT_EQ(elems[0].type, ObservationType::kAnnouncement);
   EXPECT_EQ(elems[0].prefix, net::Prefix::must_parse("10.0.0.0/24"));
-  EXPECT_EQ(elems[1].type, ElemType::kAnnounce);
+  EXPECT_EQ(elems[1].type, ObservationType::kAnnouncement);
   EXPECT_EQ(elems[1].prefix, net::Prefix::must_parse("2001:db8::/32"));
-  EXPECT_EQ(elems[2].type, ElemType::kWithdraw);
+  EXPECT_EQ(elems[2].type, ObservationType::kWithdrawal);
   EXPECT_EQ(elems[2].prefix, net::Prefix::must_parse("2001:db8:dead::/48"));
-}
-
-TEST(ElemTest, ToStringFormats) {
-  BgpElem e;
-  e.type = ElemType::kAnnounce;
-  e.peer_asn = 5;
-  e.prefix = net::Prefix::must_parse("10.0.0.0/24");
-  e.attrs.as_path = bgp::AsPath({5, 6});
-  const auto s = e.to_string();
-  EXPECT_NE(s.find("A|"), std::string::npos);
-  EXPECT_NE(s.find("AS5"), std::string::npos);
-  EXPECT_NE(s.find("10.0.0.0/24"), std::string::npos);
 }
 
 }  // namespace

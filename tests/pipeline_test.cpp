@@ -597,16 +597,14 @@ TEST(ShardedDetectorTest, ReloadUnderLoadMatrixIsDeterministic) {
 
 // ------------------------------------------------------------- hub batching
 
-TEST(MonitorHubBatchTest, BatchAndPerObservationSubscribersAgree) {
+TEST(MonitorHubBatchTest, PublishBatchAndInletAgree) {
   feeds::MonitorHub hub;
   std::size_t batch_total = 0;
   std::size_t batch_calls = 0;
-  std::size_t per_obs_total = 0;
   hub.subscribe_batch([&](std::span<const Observation> batch) {
     ++batch_calls;
     batch_total += batch.size();
   });
-  hub.subscribe([&](const Observation&) { ++per_obs_total; });
 
   std::vector<Observation> batch;
   for (int i = 0; i < 5; ++i) {
@@ -620,7 +618,6 @@ TEST(MonitorHubBatchTest, BatchAndPerObservationSubscribersAgree) {
 
   EXPECT_EQ(batch_calls, 2u);
   EXPECT_EQ(batch_total, 16u);
-  EXPECT_EQ(per_obs_total, 16u);
   EXPECT_EQ(hub.total_observations(), 16u);
   // Mixed-source batch: the run-length accounting still splits correctly.
   EXPECT_EQ(hub.source_count("ris-live"), 10u);
@@ -636,7 +633,7 @@ TEST(MonitorHubBatchTest, InternKeepsIdsStableAcrossInsertionOrder) {
   for (const char* name : {"zebra", "alpha", "zebra", "mid", "alpha", "zebra"}) {
     Observation obs;
     obs.source = feeds::intern_source(name);
-    hub.publish(obs);
+    hub.publish_batch({&obs, 1});
   }
   EXPECT_EQ(hub.source_count("zebra"), 3u);
   EXPECT_EQ(hub.source_count("alpha"), 2u);

@@ -9,7 +9,7 @@
 #include "artemis/mitigation.hpp"
 #include "bgp/rib.hpp"
 #include "mrt/mrt.hpp"
-#include "mrt/stream_reader.hpp"
+#include "mrt/observation_convert.hpp"
 #include "netbase/prefix_trie.hpp"
 #include "sim/network.hpp"
 #include "topology/generator.hpp"
@@ -190,7 +190,13 @@ TEST_P(MrtRoundTrip, ElemStreamConservesElemCount) {
     expected += rec.update.announced.size() + rec.update.withdrawn.size();
     stream.bytes(mrt::encode_update_record(rec));
   }
-  EXPECT_EQ(mrt::read_elems(stream.data()).size(), expected);
+  mrt::ObservationConverter converter;
+  std::size_t decoded = 0;
+  const auto stats = converter.convert_file(
+      stream.data(),
+      [&decoded](std::span<const feeds::Observation> batch) { decoded += batch.size(); });
+  EXPECT_TRUE(stats.clean());
+  EXPECT_EQ(decoded, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MrtRoundTrip, ::testing::Values(20, 21, 22, 23, 24));
